@@ -46,6 +46,11 @@ pub struct Workload {
     pub segment: usize,
     /// Whether the engine emits warnings as well as drifts.
     pub warnings: bool,
+    /// Batches submitted in one closed-loop slice: a fixed amount of work
+    /// that takes a few tens of milliseconds, so a run holds a hundred
+    /// slices or more. A durable workload's slice is a whole number of its
+    /// checkpoint periods, so every slice pays the same durability work.
+    pub closed_batches: usize,
     /// Offered load of the open-loop slices, in records per second: a
     /// constant, a quarter to a third of the closed-loop throughput measured
     /// on a 2-vCPU host, so that the engine still keeps up when a noisy
@@ -76,6 +81,7 @@ pub const WORKLOADS: [Workload; 3] = [
         batch: 512,
         segment: 1_000,
         warnings: false,
+        closed_batches: 1_024,
         open_rate: 3.0e6,
         grow_records: 26_000,
         warmup_records: 64 * 1024,
@@ -93,6 +99,7 @@ pub const WORKLOADS: [Workload; 3] = [
         batch: 256,
         segment: 1_500,
         warnings: true,
+        closed_batches: 1_024,
         open_rate: 1.5e6,
         grow_records: 0,
         warmup_records: 128 * 1024,
@@ -121,6 +128,7 @@ pub const WORKLOADS: [Workload; 3] = [
         batch: 512,
         segment: 800,
         warnings: false,
+        closed_batches: 16 * 32,
         open_rate: 0.45e6,
         grow_records: 2_100,
         warmup_records: 64 * 1024,
@@ -237,7 +245,10 @@ struct Interleaver {
     /// Cumulative Zipf weights by rank.
     cdf: Vec<f64>,
     /// Stream id of each rank: a seeded permutation, so the hottest stream
-    /// is not always stream 0.
+    /// is not always stream 0. It keeps each rank's detector spec (rank `r`
+    /// goes to a stream `s` with `s % specs == r % specs`), so the traffic
+    /// share of each kind of detector, and with it the cost of a record,
+    /// does not depend on the seed.
     ids: Vec<u64>,
     burst: usize,
 }
@@ -255,10 +266,18 @@ impl Interleaver {
             .into_iter()
             .map(|c| c / total)
             .collect();
-        let mut ids: Vec<u64> = (0..w.streams).collect();
-        for i in (1..ids.len()).rev() {
-            ids.swap(i, rng.below(i as u64 + 1) as usize);
+        let kinds = w.specs.len() as u64;
+        let mut classes: Vec<Vec<u64>> = (0..kinds)
+            .map(|c| (c..w.streams).step_by(kinds as usize).collect())
+            .collect();
+        for class in &mut classes {
+            for i in (1..class.len()).rev() {
+                class.swap(i, rng.below(i as u64 + 1) as usize);
+            }
         }
+        let ids = (0..w.streams)
+            .map(|rank| classes[(rank % kinds) as usize][(rank / kinds) as usize])
+            .collect();
         Self {
             rng,
             cdf,
@@ -442,6 +461,23 @@ mod tests {
                 .records()
                 .iter()
                 .all(|&(s, v)| s < w.streams && (v == 0.0 || v == 1.0)));
+        }
+    }
+
+    #[test]
+    fn traffic_share_of_each_spec_is_seed_independent() {
+        for w in &WORKLOADS {
+            let kinds = w.specs.len() as u64;
+            let a = Interleaver::new(w, 1);
+            let b = Interleaver::new(w, 2);
+            assert_ne!(a.ids, b.ids, "{}", w.name);
+            let mut sorted = a.ids.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..w.streams).collect::<Vec<_>>(), "{}", w.name);
+            for (rank, (x, y)) in a.ids.iter().zip(&b.ids).enumerate() {
+                assert_eq!(x % kinds, rank as u64 % kinds, "{}", w.name);
+                assert_eq!(x % kinds, y % kinds, "{}", w.name);
+            }
         }
     }
 

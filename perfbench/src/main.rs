@@ -9,11 +9,11 @@
 //! real restart pays:
 //!
 //! * `run` — generate the inputs, set up (build + warm-up + flush), run
-//!   [`ROUNDS`] rounds of a closed-loop slice and an open-loop slice at the
-//!   workload's fixed rate, then the correctness gate against a
-//!   single-threaded reference fold. With `--trace 1` it records spans
-//!   around every timed call, writes them to `<work-dir>/trace.jsonl` and
-//!   derives the per-layer table from them.
+//!   rounds of a fixed-size closed-loop slice and an open-loop slice at the
+//!   workload's fixed rate until `--seconds` have passed, then the
+//!   correctness gate against a single-threaded reference fold. With
+//!   `--trace 1` it records spans around every timed call, writes them to
+//!   `<work-dir>/trace.jsonl` and derives the per-layer table from them.
 //! * `setup` — set-up alone, timed.
 //! * `recover` — restart from what a previous `run` left in `--work-dir`
 //!   (its checkpoint directory, or its snapshot file), timed.
@@ -23,6 +23,7 @@
 
 mod check;
 mod gen;
+mod probe;
 mod trace;
 
 use std::fmt::Write as _;
@@ -40,21 +41,27 @@ use optwin_engine::{
 
 use check::Event;
 use gen::{Inputs, Workload};
+use probe::HostProbe;
 use trace::{nanos, quantile, Call, StampSink, Tracer};
 
 const USAGE: &str = "usage: perfbench <run|setup|recover> --workload <name> --seed <n> \
                      --work-dir <dir> [--seconds <s>] [--trace <0|1>] [--provenance <json>]";
 
-/// Share of `--seconds` spent in closed-loop slices; open-loop slices take
-/// the rest.
-const SATURATION_SHARE: f64 = 0.4;
+/// Seconds of one open-loop slice.
+const OPEN_SLICE_S: f64 = 0.1;
 
-/// Rounds of one closed-loop and one open-loop slice per run. On a shared
-/// host, neighbours slow or preempt the process for stretches of a second
-/// and more, so the gated figures come from the calmer rounds: throughput
-/// is the upper quartile of the rounds' rates and the p50 latency the lower
-/// quartile of the rounds' medians.
-const ROUNDS: usize = 20;
+/// Fewest rounds of a run, however long they take.
+const MIN_ROUNDS: usize = 20;
+
+/// On a shared host, neighbours slow the process by up to 2x for stretches
+/// of seconds, alternating with calm stretches. The gated figures therefore
+/// come from the calm rounds of a run: throughput is this quantile of the
+/// rounds' closed-loop rates, and the p50 latency the complementary
+/// quantile of the rounds' median latencies. Both are then scaled by the
+/// host's speed over the run (the same quantile of a [`HostProbe`] sampled
+/// once a round), because the calm stretches of one run can be slower than
+/// those of a run minutes later.
+const FAST_QUANTILE: f64 = 0.95;
 
 /// Where one open-loop slice starts.
 struct OpenRound {
@@ -450,6 +457,7 @@ fn ms(ns: u64) -> f64 {
 fn run(args: &Args) -> Result<Output, String> {
     let w = args.workload;
     let inputs = Inputs::generate(w, args.seed, true);
+    let mut probe = HostProbe::new();
     let rss_base_kib = vm_kib("VmRSS");
     let epoch = Instant::now();
     let sink = Arc::new(StampSink::new(epoch, args.traced));
@@ -464,28 +472,29 @@ fn run(args: &Args) -> Result<Output, String> {
         durable_dir,
     )?;
 
-    // ROUNDS rounds, each a closed-loop slice then an open-loop slice, so
-    // both phases sample the whole run and a slow stretch of the host moves
-    // one round's figures rather than one metric.
+    // Rounds of one closed-loop and one open-loop slice until `--seconds`
+    // have passed, so both phases sample the whole run and a slow stretch
+    // of the host moves some rounds' figures rather than one metric.
     let detector_before = detector_seconds(&driver.handle)?;
     let timed_from = nanos(epoch, Instant::now());
+    let timed = Instant::now();
     let first_timed = driver.next;
     let interval = w.batch as f64 / w.open_rate;
-    let saturation = Duration::from_secs_f64(args.seconds * SATURATION_SHARE / ROUNDS as f64);
-    let open_batches =
-        ((args.seconds * (1.0 - SATURATION_SHARE) / ROUNDS as f64) / interval).ceil() as usize;
-    let mut round_rates = Vec::with_capacity(ROUNDS);
-    let mut saturated = Vec::with_capacity(ROUNDS);
+    let open_batches = (OPEN_SLICE_S / interval).ceil() as usize;
+    let mut round_rates = Vec::new();
+    let mut saturated = Vec::new();
     let mut saturation_wall = 0.0;
-    let mut open_rounds = Vec::with_capacity(ROUNDS);
-    let mut lag_ms = Vec::with_capacity(ROUNDS * open_batches);
-    for _ in 0..ROUNDS {
-        // Closed loop: submit as fast as backpressure allows, end with a
-        // flush.
+    let mut open_rounds = Vec::new();
+    let mut lag_ms = Vec::new();
+    while round_rates.len() < MIN_ROUNDS || timed.elapsed().as_secs_f64() < args.seconds {
+        probe.sample();
+
+        // Closed loop: a fixed number of batches, submitted as fast as
+        // backpressure allows, then a flush.
         let started = Instant::now();
         let first = driver.next;
         let mut records = 0u64;
-        while started.elapsed() < saturation {
+        for _ in 0..w.closed_batches {
             records += driver.step() as u64;
         }
         driver.flush();
@@ -509,12 +518,26 @@ fn run(args: &Args) -> Result<Output, String> {
         }
         driver.flush();
     }
+    let rounds = round_rates.len();
+    if let Some(durable) = w.durable {
+        // Leave the same log tail in every run: a checkpoint, then half a
+        // checkpoint period of batches and flushes, so a recovery replays
+        // the same amount of work whatever the host's speed was.
+        driver.checkpoint();
+        driver.since_flush = 0;
+        driver.flushes_since_checkpoint = 0;
+        for _ in 0..durable.flush_every * durable.checkpoint_every / 2 {
+            driver.step();
+        }
+        driver.flush();
+    }
     let timed_records: usize = (first_timed..driver.next)
         .map(|g| inputs.batch(g).len())
         .sum();
     let engine_detector_ns =
         (detector_seconds(&driver.handle)? - detector_before) * 1e9 / timed_records as f64;
-    let throughput = quantile(&mut round_rates, 0.75);
+    let raw_throughput = quantile(&mut round_rates, FAST_QUANTILE);
+    let host_speed = probe.speed(FAST_QUANTILE);
 
     // End-of-run engine state, then the state a restart recovers from.
     let stats = driver.handle.stats().map_err(|e| e.to_string())?;
@@ -570,7 +593,7 @@ fn run(args: &Args) -> Result<Output, String> {
     let carriers = gen::carrying_batches(&inputs, submitted, w.streams, &keys);
     // Each open-loop event's latency, from when the batch carrying its
     // record was due to when the sink emitted it, grouped by round.
-    let mut latency_ms: Vec<Vec<f64>> = vec![Vec::new(); ROUNDS];
+    let mut latency_ms: Vec<Vec<f64>> = vec![Vec::new(); rounds];
     for (stamp, g) in stamps.iter().zip(&carriers) {
         let Some(g) = *g else { continue };
         let r = open_rounds.partition_point(|o| o.first <= g);
@@ -605,9 +628,13 @@ fn run(args: &Args) -> Result<Output, String> {
 
     out.num("attempted", driver.attempted as f64);
     out.num("failed", (driver.failed + write_errors) as f64);
-    out.num("throughput_rps", throughput);
+    let raw_p50 = quantile(&mut round_p50, 1.0 - FAST_QUANTILE);
+    out.num("throughput_rps", raw_throughput / host_speed);
+    out.num("latency_p50_ms", raw_p50 * host_speed);
+    out.num("raw.throughput_rps", raw_throughput);
+    out.num("raw.latency_p50_ms", raw_p50);
+    out.num("host.speed", host_speed);
     out.num("latency_samples", latency_ms.len() as f64);
-    out.num("latency_p50_ms", quantile(&mut round_p50, 0.25));
     out.num("latency_p90_ms", quantile(&mut round_p90, 0.5));
     out.num("latency_p99_ms", quantile(&mut latency_ms, 0.99));
     out.num("setup_s", setup_s);
@@ -621,7 +648,7 @@ fn run(args: &Args) -> Result<Output, String> {
     out.num("engine.detector_ns_per_record", engine_detector_ns);
     out.num(
         "engine.overhead_ns_per_record",
-        1e9 / throughput - engine_detector_ns,
+        1e9 / raw_throughput - engine_detector_ns,
     );
     out.num("checkpoint.bytes", mean(&driver.checkpoint_bytes));
     out.num("checkpoint.wal_bytes_per_record", wal_bytes_per_record);
