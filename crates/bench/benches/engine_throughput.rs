@@ -4,17 +4,18 @@
 //!    interface),
 //! 2. **batched** — `add_batch` over the whole stream (amortized cut-table
 //!    prefetch, no per-element dispatch),
-//! 3. **sharded** — a [`DriftEngine`] ingesting interleaved multi-stream
-//!    record batches (batched per stream **and** fanned out across shards,
-//!    with a flush barrier per batch),
+//! 3. **sharded** — an engine ingesting interleaved multi-stream record
+//!    batches (batched per stream **and** fanned out across shards), with a
+//!    [`EngineHandle::flush`] barrier and a [`MemorySink`] drain per batch,
 //! 4. **pipelined** — the service API: [`EngineHandle::submit`] enqueues
 //!    every batch onto the bounded per-shard queues without waiting, and a
 //!    single shutdown barrier drains the engine at the end. The submitting
 //!    thread never blocks on detection work, so this tier measures the
-//!    steady-state serving shape. Detectors are configured through the
-//!    declarative [`DetectorSpec`] path ([`EngineBuilder::default_spec`]),
-//!    which is the canonical construction route — so this tier also keeps
-//!    the spec layer's overhead (none beyond construction) honest.
+//!    steady-state serving shape.
+//!
+//! Every engine tier configures detectors through
+//! [`EngineBuilder::default_spec`], so they also keep the spec layer's
+//! overhead (none beyond construction) honest.
 //!
 //! Elements/second is the headline number; on a multi-core host the sharded
 //! and pipelined tiers additionally scale with the shard count.
@@ -32,9 +33,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use optwin_baselines::DetectorSpec;
 use optwin_core::{DetectorExt, DriftDetector, Optwin, OptwinConfig};
-use optwin_engine::{
-    DriftEngine, EngineBuilder, EngineConfig, EngineHandle, EventSink, MemorySink, RebalancePolicy,
-};
+use optwin_engine::{EngineBuilder, EngineHandle, EventSink, MemorySink, RebalancePolicy};
 use optwin_stream::{DriftKind, DriftSchedule, ErrorStream, ErrorStreamConfig};
 
 const STREAM_LEN: usize = 20_000;
@@ -103,6 +102,22 @@ fn interleaved_records() -> Vec<(u64, f64)> {
     records
 }
 
+/// An engine with `shards` workers and one [`MemorySink`], as every engine
+/// tier runs it: each stream auto-registers from the same OPTWIN spec on
+/// first sight.
+fn engine(shards: usize) -> (EngineHandle, Arc<MemorySink>) {
+    let spec: DetectorSpec = "optwin:rho=0.5,w_max=2000".parse().expect("valid spec");
+    let sink = Arc::new(MemorySink::new());
+    let handle = EngineBuilder::new()
+        .shards(shards)
+        .queue_capacity(64 * 1_024)
+        .default_spec(spec)
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
+        .build()
+        .expect("valid engine");
+    (handle, sink)
+}
+
 fn bench_sharded_engine(c: &mut Criterion) {
     let records = interleaved_records();
     let mut group = c.benchmark_group("engine_ingest_32_streams");
@@ -114,14 +129,14 @@ fn bench_sharded_engine(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter(|| {
-                    let mut engine =
-                        DriftEngine::with_factory(EngineConfig::with_shards(shards), |_| {
-                            Box::new(optwin(2_000)) as Box<dyn DriftDetector + Send>
-                        });
+                    let (handle, sink) = engine(shards);
                     let mut events = 0usize;
                     for batch in records.chunks(N_STREAMS as usize * 500) {
-                        events += engine.ingest_batch(batch).expect("factory-backed").len();
+                        handle.submit(batch).expect("engine running");
+                        handle.flush().expect("no ingestion errors");
+                        events += sink.drain().len();
                     }
+                    handle.shutdown().expect("clean drain");
                     black_box(events)
                 });
             },
@@ -132,13 +147,6 @@ fn bench_sharded_engine(c: &mut Criterion) {
 
 fn bench_pipelined_engine(c: &mut Criterion) {
     let records = interleaved_records();
-    // The same OPTWIN configuration as the closure tiers, expressed
-    // declaratively: every stream auto-registers from this spec on first
-    // sight (and the engine's snapshots become self-describing for free).
-    let spec: DetectorSpec = "optwin:rho=0.5,w_max=2000"
-        .parse()
-        .expect("valid spec string");
-
     let mut group = c.benchmark_group("engine_pipelined_32_streams");
     group.throughput(Throughput::Elements(records.len() as u64));
     group.sample_size(10);
@@ -148,14 +156,7 @@ fn bench_pipelined_engine(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter(|| {
-                    let sink = Arc::new(MemorySink::new());
-                    let handle: EngineHandle = EngineBuilder::new()
-                        .shards(shards)
-                        .queue_capacity(64 * 1_024)
-                        .default_spec(spec.clone())
-                        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-                        .build()
-                        .expect("valid engine");
+                    let (handle, sink) = engine(shards);
                     // Fire-and-forget submission; the only barrier is the
                     // final shutdown drain.
                     for batch in records.chunks(N_STREAMS as usize * 500) {
@@ -212,7 +213,6 @@ fn bench_skewed_zipf_engine(c: &mut Criterion) {
     // top 8 streams about half — with modulo placement, shard 0 gets the
     // hottest stream *and* its share of the cold tail.
     let records = zipf_records(ZIPF_STREAMS, ZIPF_RECORDS, 1.1, 42);
-    let spec: DetectorSpec = "optwin:rho=0.5,w_max=2000".parse().expect("valid spec");
 
     let mut group = c.benchmark_group("engine_skewed_zipf_64_streams");
     group.throughput(Throughput::Elements(records.len() as u64));
@@ -220,17 +220,9 @@ fn bench_skewed_zipf_engine(c: &mut Criterion) {
     for &(label, rebalance) in &[("static", false), ("rebalanced", true)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &rebalance, {
             let records = &records;
-            let spec = &spec;
             move |b, &rebalance| {
                 b.iter(|| {
-                    let sink = Arc::new(MemorySink::new());
-                    let handle: EngineHandle = EngineBuilder::new()
-                        .shards(4)
-                        .queue_capacity(64 * 1_024)
-                        .default_spec(spec.clone())
-                        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-                        .build()
-                        .expect("valid engine");
+                    let (handle, sink) = engine(4);
                     for (i, batch) in records.chunks(16_000).enumerate() {
                         handle.submit(batch).expect("engine running");
                         // Rebalance at a flush barrier every few batches,

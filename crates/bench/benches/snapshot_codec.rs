@@ -7,7 +7,7 @@
 //!
 //! * **encode** — `EngineHandle::snapshot_with(..)` + `to_json()`: the full
 //!   serialize path a checkpoint pays.
-//! * **decode** — `EngineSnapshot::from_json` + a factory-less
+//! * **decode** — `EngineSnapshot::from_json` + a spec-free
 //!   `EngineBuilder::restore(..).build()`: the full restore path a restart
 //!   pays (the spawned engine is shut down inside the iteration).
 //!

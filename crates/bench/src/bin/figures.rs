@@ -12,7 +12,7 @@
 use optwin_bench::{Args, RunScale};
 use optwin_core::{CutTable, OptwinConfig};
 use optwin_eval::experiment::{run_detector_on_sequence, Table1Experiment};
-use optwin_eval::DetectorFactory;
+use optwin_eval::paper_lineup;
 
 fn run_figure(experiment: Table1Experiment, scale: &optwin_bench::RunScale) {
     let stream_len = scale
@@ -29,9 +29,12 @@ fn run_figure(experiment: Table1Experiment, scale: &optwin_bench::RunScale) {
         "{:<18} {:>4} {:>4} {:>4} {:>10}   detections",
         "Detector", "TP", "FP", "FN", "mean delay"
     );
-    let factory = DetectorFactory::with_optwin_window(scale.optwin_w_max);
-    for kind in experiment.applicable_detectors() {
-        let mut detector = factory.build(kind);
+    let lineup = paper_lineup(scale.optwin_w_max);
+    let applicable = lineup
+        .iter()
+        .filter(|(_, spec)| experiment.binary_signal() || !spec.binary_only());
+    for (label, spec) in applicable {
+        let mut detector = spec.build().expect("line-up specs are valid");
         let run = run_detector_on_sequence(detector.as_mut(), &errors, &schedule);
         let delay = run
             .outcome
@@ -45,7 +48,7 @@ fn run_figure(experiment: Table1Experiment, scale: &optwin_bench::RunScale) {
         };
         println!(
             "{:<18} {:>4} {:>4} {:>4} {:>10}   {:?}{}",
-            kind.label(),
+            label,
             run.outcome.true_positives,
             run.outcome.false_positives,
             run.outcome.false_negatives,

@@ -30,11 +30,9 @@
 use optwin_baselines::DetectorSpec;
 use optwin_bench::{Args, RunScale};
 use optwin_engine::FleetConfig;
-use optwin_eval::experiment::{
-    run_table1_experiment_sharded, run_table1_fleet, run_table1_specs, Table1Experiment,
-};
+use optwin_eval::experiment::{run_table1, Table1Experiment};
+use optwin_eval::paper_lineup;
 use optwin_eval::report::{render_table1, to_json};
-use optwin_eval::DetectorFactory;
 
 fn experiment_by_name(name: &str) -> Option<Table1Experiment> {
     match name {
@@ -123,58 +121,36 @@ fn main() {
         println!();
     }
 
-    let factory = DetectorFactory::with_optwin_window(scale.optwin_w_max);
+    // One `(label, spec)` line-up for every path: a `--detector` row is
+    // labelled by its canonical spec string, a `--fleet` row by its stream
+    // id and spec id.
+    let entries = match (&detector, &fleet) {
+        (Some(spec), _) => vec![(spec.to_string(), spec.clone())],
+        (None, Some(fleet)) => fleet
+            .streams
+            .iter()
+            .map(|(stream, spec)| (format!("#{stream} {}", spec.id()), spec.clone()))
+            .collect(),
+        (None, None) => paper_lineup(scale.optwin_w_max),
+    };
     let mut all_rows = Vec::new();
     for experiment in experiments {
-        let rows = match (&detector, &fleet) {
-            (Some(spec), _) => {
-                if spec.binary_only() && !experiment.binary_signal() {
-                    println!(
-                        "skipping {} — `{}` only accepts binary error indicators\n",
-                        experiment.label(),
-                        spec.id()
-                    );
-                    continue;
-                }
-                run_table1_specs(
-                    experiment,
-                    std::slice::from_ref(spec),
-                    scale.repetitions,
-                    scale.stream_len,
-                    scale.seed,
-                    scale.shards,
-                    rebalance,
-                )
-            }
-            (None, Some(fleet)) => {
-                let rows = run_table1_fleet(
-                    experiment,
-                    &fleet.streams,
-                    scale.repetitions,
-                    scale.stream_len,
-                    scale.seed,
-                    scale.shards,
-                    rebalance,
-                );
-                if rows.is_empty() {
-                    println!(
-                        "skipping {} — every fleet entry is binary-only\n",
-                        experiment.label()
-                    );
-                    continue;
-                }
-                rows
-            }
-            (None, None) => run_table1_experiment_sharded(
-                experiment,
-                &factory,
-                scale.repetitions,
-                scale.stream_len,
-                scale.seed,
-                scale.shards,
-                rebalance,
-            ),
-        };
+        let rows = run_table1(
+            experiment,
+            &entries,
+            scale.repetitions,
+            scale.stream_len,
+            scale.seed,
+            scale.shards,
+            rebalance,
+        );
+        if rows.is_empty() {
+            println!(
+                "skipping {} — every detector only accepts binary error indicators\n",
+                experiment.label()
+            );
+            continue;
+        }
         println!("{}", render_table1(&rows));
         all_rows.extend(rows);
     }

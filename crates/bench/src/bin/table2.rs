@@ -10,8 +10,8 @@
 
 use optwin_bench::{Args, RunScale};
 use optwin_eval::classification::{run_classification_column, ClassificationExperiment};
+use optwin_eval::paper_lineup;
 use optwin_eval::report::{render_table2, to_json};
-use optwin_eval::DetectorFactory;
 
 fn main() {
     let args = Args::from_env();
@@ -41,11 +41,10 @@ fn main() {
     );
     println!();
 
-    let mut factory = DetectorFactory::with_optwin_window(scale.optwin_w_max);
+    let lineup = paper_lineup(scale.optwin_w_max);
     let mut all_rows = Vec::new();
     for experiment in experiments {
-        let rows =
-            run_classification_column(experiment, &mut factory, scale.stream_len, scale.seed);
+        let rows = run_classification_column(experiment, &lineup, scale.stream_len, scale.seed);
         println!("{}", render_table2(&rows));
         all_rows.extend(rows);
     }

@@ -8,11 +8,9 @@ use optwin_baselines::DetectorSpec;
 use optwin_core::{DriftDetector, SnapshotEncoding};
 
 use crate::checkpoint::{self, CheckpointConfig, CheckpointPolicy, RecoveredLog, ReplayOp};
-use crate::engine::{EngineConfig, EngineError};
+use crate::engine::EngineError;
 use crate::fleet::FleetConfig;
-use crate::handle::{
-    spawn_engine, DetectorSource, EngineHandle, SharedDetectorFactory, StreamState,
-};
+use crate::handle::{spawn_engine, EngineHandle, StreamState};
 use crate::hibernate::{HibernatedDetector, HibernationPolicy};
 use crate::persist::EngineSnapshot;
 use crate::sink::EventSink;
@@ -22,27 +20,25 @@ use crate::sink::EventSink;
 /// consumer exerts backpressure within a few megabytes.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 65_536;
 
-/// Builder for a running engine: shard count, default detector (a
-/// declarative [`DetectorSpec`] or a closure factory), warning policy, event
-/// sinks, queue capacity and an optional snapshot to restore.
+/// Builder for a running engine: shard count, default [`DetectorSpec`],
+/// warning policy, event sinks, queue capacity and an optional snapshot to
+/// restore.
 ///
 /// [`EngineBuilder::build`] spawns one long-lived worker thread per shard
-/// and returns the cheaply-cloneable [`EngineHandle`] front door. The
-/// canonical construction path is declarative —
-/// [`EngineBuilder::default_spec`] for homogeneous fleets,
-/// [`EngineBuilder::stream_spec`] / [`EngineHandle::register_stream_spec`]
-/// for heterogeneous ones — which makes every stream introspectable and
-/// every snapshot self-describing. The closure-factory and
-/// explicit-instance paths survive as escape hatches for custom detector
-/// types. The synchronous [`crate::DriftEngine`] facade is a thin wrapper
-/// over exactly this (a handle plus a [`crate::MemorySink`]). See the crate
-/// docs for a complete example.
+/// and returns the cheaply-cloneable [`EngineHandle`] front door. Detectors
+/// are named by spec — [`EngineBuilder::default_spec`] for homogeneous
+/// fleets, [`EngineBuilder::stream_spec`] /
+/// [`EngineHandle::register_stream_spec`] for heterogeneous ones — which
+/// makes every stream introspectable and every snapshot self-describing.
+/// Explicit instances ([`EngineBuilder::stream`] /
+/// [`EngineHandle::register_stream`]) are the one escape hatch for custom
+/// detector types. See the crate docs for a complete example.
 #[must_use]
 pub struct EngineBuilder {
     shards: usize,
     emit_warnings: bool,
     queue_capacity: usize,
-    source: Option<DetectorSource>,
+    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     restore: Option<EngineSnapshot>,
     streams: Vec<(u64, Box<dyn DriftDetector + Send>)>,
@@ -66,7 +62,7 @@ impl std::fmt::Debug for EngineBuilder {
             .field("shards", &self.shards)
             .field("emit_warnings", &self.emit_warnings)
             .field("queue_capacity", &self.queue_capacity)
-            .field("has_factory", &self.source.is_some())
+            .field("default_spec", &self.default_spec)
             .field("sinks", &self.sinks.len())
             .field(
                 "restore_streams",
@@ -85,16 +81,11 @@ impl EngineBuilder {
     /// available CPU core, warnings disabled, no sinks, no default detector,
     /// and a [`DEFAULT_QUEUE_CAPACITY`]-record queue per shard.
     pub fn new() -> Self {
-        Self::from_config(EngineConfig::default())
-    }
-
-    /// Starts a builder from an existing [`EngineConfig`].
-    pub fn from_config(config: EngineConfig) -> Self {
         Self {
-            shards: config.shards,
-            emit_warnings: config.emit_warnings,
+            shards: std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
+            emit_warnings: false,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            source: None,
+            default_spec: None,
             sinks: Vec::new(),
             restore: None,
             streams: Vec::new(),
@@ -213,39 +204,12 @@ impl EngineBuilder {
     /// Installs the default [`DetectorSpec`]: unknown stream ids
     /// auto-register on first sight with `spec.build()`, recording the spec
     /// so the stream is introspectable ([`EngineHandle::stream_spec`]) and
-    /// snapshots of it restore with no factory. This is the canonical
-    /// configuration path; the spec is validated at
-    /// [`EngineBuilder::build`]. Replaces any previously installed default
-    /// (spec or closure).
+    /// its snapshots are self-describing. Spec-less snapshot entries restore
+    /// through it too (see [`EngineBuilder::restore`]). The spec is
+    /// validated at [`EngineBuilder::build`]. Replaces any previously
+    /// installed default.
     pub fn default_spec(mut self, spec: DetectorSpec) -> Self {
-        self.source = Some(DetectorSource::Spec(spec));
-        self
-    }
-
-    /// Installs a closure detector factory: unknown stream ids auto-register
-    /// by calling it on first sight. The factory is shared by all shard
-    /// workers, hence `Send + Sync`. Streams it creates record no spec — an
-    /// escape hatch for custom detector types; prefer
-    /// [`EngineBuilder::default_spec`] when the detector can be described
-    /// declaratively. Replaces any previously installed default.
-    pub fn factory<F>(self, factory: F) -> Self
-    where
-        F: Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync + 'static,
-    {
-        self.shared_factory(Arc::new(factory))
-    }
-
-    /// Installs an already-shared closure detector factory (useful when the
-    /// caller keeps a clone). See [`EngineBuilder::factory`].
-    pub fn shared_factory(self, factory: SharedDetectorFactory) -> Self {
-        self.detector_source(DetectorSource::Closure(factory))
-    }
-
-    /// Installs a pre-assembled detector source (crate-internal; the public
-    /// surface is [`EngineBuilder::default_spec`] /
-    /// [`EngineBuilder::factory`]).
-    pub(crate) fn detector_source(mut self, source: DetectorSource) -> Self {
-        self.source = Some(source);
+        self.default_spec = Some(spec);
         self
     }
 
@@ -261,7 +225,7 @@ impl EngineBuilder {
     /// prefer [`EngineBuilder::stream_spec`] when possible. Streams can also
     /// be registered later via [`EngineHandle::register_stream`] /
     /// [`EngineHandle::register_stream_spec`] or auto-registered by the
-    /// default spec/factory.
+    /// default spec.
     pub fn stream(mut self, stream: u64, detector: Box<dyn DriftDetector + Send>) -> Self {
         self.streams.push((stream, detector));
         self
@@ -327,11 +291,12 @@ impl EngineBuilder {
 
     /// Restores every stream recorded in `snapshot` when the engine is
     /// built. Streams whose snapshot embeds a [`DetectorSpec`] (wire format
-    /// v2+, spec-registered) are rebuilt from that spec — **no factory
-    /// required**. Spec-less streams (v1 snapshots, or streams registered
-    /// with explicit instances / a closure factory) are rebuilt through this
-    /// builder's default spec or factory, which must then be configured. In
-    /// both cases the serialized state is restored into the fresh detector,
+    /// v2+, spec-registered) are rebuilt from that spec. Spec-less streams
+    /// (v1 snapshots, or streams registered with explicit instances) are
+    /// rebuilt from this builder's [`EngineBuilder::default_spec`]; a fleet
+    /// of mixed kinds instead fills each entry's
+    /// [`crate::StreamStateSnapshot::spec`] before calling this. In both
+    /// cases the serialized state is restored into the fresh detector,
     /// so the new engine makes identical subsequent decisions to the
     /// snapshotted one. The snapshot's shard count and warning policy are
     /// provenance, not constraints — this builder's settings win. Streams
@@ -354,10 +319,9 @@ impl EngineBuilder {
     /// * [`EngineError::InvalidSpec`] when the default spec or a
     ///   [`EngineBuilder::stream_spec`] spec fails validation,
     /// * [`EngineError::InvalidSnapshot`] when a snapshot stream has no
-    ///   embedded spec and no default spec/factory is configured, the
-    ///   snapshot's version is unsupported, a detector name does not match
-    ///   what the spec/factory builds, or a detector rejects its serialized
-    ///   state,
+    ///   embedded spec and no default spec is configured, the snapshot's
+    ///   version is unsupported, a detector name does not match what the
+    ///   spec builds, or a detector rejects its serialized state,
     /// * [`EngineError::DuplicateStream`] when a stream id is pre-registered
     ///   (or restored) twice.
     pub fn build(self) -> Result<EngineHandle, EngineError> {
@@ -375,7 +339,7 @@ impl EngineBuilder {
                 )));
             }
         }
-        if let Some(DetectorSource::Spec(spec)) = &self.source {
+        if let Some(spec) = &self.default_spec {
             spec.validate()
                 .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
         }
@@ -435,32 +399,20 @@ impl EngineBuilder {
                     }
                 }
                 // v2 self-describing entry: rebuild from the embedded spec.
-                // Spec-less entry: fall back to the default spec/factory.
-                let (mut detector, spec) = match &stream_snapshot.spec {
-                    Some(spec) => {
-                        let detector = spec.build().map_err(|e| {
-                            EngineError::InvalidSnapshot(format!(
-                                "stream {stream}: embedded spec `{spec}`: {e}"
-                            ))
-                        })?;
-                        (detector, Some(spec.clone()))
-                    }
-                    None => match &self.source {
-                        Some(source) => source.make(stream).map_err(|e| {
-                            EngineError::InvalidSnapshot(format!("stream {stream}: {e}"))
-                        })?,
-                        None => {
-                            return Err(EngineError::InvalidSnapshot(format!(
-                                "stream {stream} has no embedded detector spec; restoring it \
-                                 requires a default spec or detector factory"
-                            )))
-                        }
-                    },
+                // Spec-less entry: fall back to the default spec.
+                let Some(spec) = stream_snapshot.spec.or_else(|| self.default_spec.clone()) else {
+                    return Err(EngineError::InvalidSnapshot(format!(
+                        "stream {stream} has no embedded detector spec; restoring it \
+                         requires a default spec"
+                    )));
                 };
+                let mut detector = spec.build().map_err(|e| {
+                    EngineError::InvalidSnapshot(format!("stream {stream}: spec `{spec}`: {e}"))
+                })?;
                 if detector.name() != stream_snapshot.detector {
                     return Err(EngineError::InvalidSnapshot(format!(
                         "stream {}: snapshot was taken from a `{}` detector but the \
-                         spec/factory builds `{}`",
+                         spec builds `{}`",
                         stream,
                         stream_snapshot.detector,
                         detector.name()
@@ -469,7 +421,7 @@ impl EngineBuilder {
                 detector
                     .restore_state(&stream_snapshot.state)
                     .map_err(|e| EngineError::InvalidSnapshot(format!("stream {stream}: {e}")))?;
-                let mut state = StreamState::with_spec(detector, spec);
+                let mut state = StreamState::with_spec(detector, Some(spec));
                 state.restore_position(stream_snapshot.seq, stream_snapshot.detector_seconds);
                 if !seen.insert(stream) {
                     return Err(EngineError::DuplicateStream(stream));
@@ -494,10 +446,6 @@ impl EngineBuilder {
             initial[shard_of(stream)].insert(stream, StreamState::with_spec(detector, Some(spec)));
         }
 
-        let config = EngineConfig {
-            shards: self.shards,
-            emit_warnings: self.emit_warnings,
-        };
         let checkpoint = match self.checkpoint {
             Some((dir, policy)) => {
                 std::fs::create_dir_all(&dir).map_err(|e| {
@@ -516,9 +464,9 @@ impl EngineBuilder {
         };
         let checkpointing = checkpoint.is_some();
         let handle = spawn_engine(
-            config,
+            self.emit_warnings,
             self.queue_capacity,
-            self.source,
+            self.default_spec,
             self.sinks,
             initial,
             self.auto_rebalance,

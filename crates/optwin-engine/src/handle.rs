@@ -34,48 +34,12 @@ use optwin_core::{DriftDetector, DriftStatus, SnapshotEncoding};
 use crate::checkpoint::{
     CheckpointConfig, CheckpointReport, CheckpointState, Durability, WalWriter,
 };
-use crate::engine::{EngineConfig, EngineError, StreamSnapshot};
+use crate::engine::{EngineError, StreamSnapshot};
 use crate::event::DriftEvent;
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
 use crate::persist::{wire_version, EngineSnapshot, StreamStateSnapshot};
 use crate::router::Router;
 use crate::sink::EventSink;
-
-/// A detector factory shared by every shard worker (and, for the blocking
-/// facade, the submitting side): builds a detector the first time a record
-/// for an unknown stream id arrives.
-pub type SharedDetectorFactory = Arc<dyn Fn(u64) -> Box<dyn DriftDetector + Send> + Send + Sync>;
-
-/// How the engine builds detectors for auto-registered (first-sight) stream
-/// ids: declaratively from a [`DetectorSpec`] — the canonical path, which
-/// also records the spec on the stream so snapshots are self-describing —
-/// or through an opaque closure (the escape hatch for custom detector
-/// types, which leaves no spec behind).
-#[derive(Clone)]
-pub(crate) enum DetectorSource {
-    /// Every unknown stream gets `spec.build()` and records the spec.
-    Spec(DetectorSpec),
-    /// Every unknown stream gets `factory(id)`; no spec is recorded.
-    Closure(SharedDetectorFactory),
-}
-
-impl DetectorSource {
-    /// Builds a detector (and the spec to record, if any) for `stream`.
-    pub(crate) fn make(
-        &self,
-        stream: u64,
-    ) -> Result<(Box<dyn DriftDetector + Send>, Option<DetectorSpec>), EngineError> {
-        match self {
-            DetectorSource::Spec(spec) => {
-                let detector = spec
-                    .build()
-                    .map_err(|e| EngineError::InvalidSpec(e.to_string()))?;
-                Ok((detector, Some(spec.clone())))
-            }
-            DetectorSource::Closure(factory) => Ok((factory(stream), None)),
-        }
-    }
-}
 
 /// Decay factor of the per-shard batch-latency EWMA: each new batch
 /// contributes 20 % — responsive to load shifts without jittering on a
@@ -402,7 +366,7 @@ struct QueueState {
     /// makes progress, so producers must stop waiting.
     closed: AtomicBool,
     /// Ingestion-time errors recorded by workers (e.g. an unknown stream
-    /// with no factory), surfaced by [`EngineHandle::flush`].
+    /// with no default spec), surfaced by [`EngineHandle::flush`].
     errors: Mutex<Vec<EngineError>>,
 }
 
@@ -420,8 +384,8 @@ pub(crate) struct StreamState {
     /// The detector — resident, or compressed to a hibernated blob.
     pub(crate) slot: DetectorSlot,
     /// The spec the stream was registered with, when registered
-    /// declaratively (`None` for closure-factory and explicit-instance
-    /// registrations). Recorded so operators can introspect live streams
+    /// declaratively (`None` for explicit-instance registrations). Recorded
+    /// so operators can introspect live streams
     /// ([`EngineHandle::stream_spec`]) and snapshots are self-describing —
     /// and, since the hibernation tier, so a sleeping stream's detector can
     /// be rebuilt on its next record.
@@ -591,15 +555,15 @@ impl ShardState {
         Ok(())
     }
 
-    /// Stages `records`, creating unknown streams through the default
-    /// detector source (or recording [`EngineError::UnknownStream`] and
-    /// skipping the record when there is none), runs every staged stream's
+    /// Stages `records`, creating unknown streams from the default spec (or
+    /// recording [`EngineError::UnknownStream`] and skipping the record when
+    /// there is none), runs every staged stream's
     /// detector through its batch path, and emits the events — sorted by
     /// `(stream, seq)` within this call — into the sinks.
     fn ingest(
         &mut self,
         records: &[(u64, f64)],
-        source: Option<&DetectorSource>,
+        default_spec: Option<&DetectorSpec>,
         sinks: &[Arc<dyn EventSink>],
         emit_warnings: bool,
         queue: &QueueState,
@@ -608,13 +572,15 @@ impl ShardState {
         for &(stream, value) in records {
             let state = match self.streams.entry(stream) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => match source {
-                    Some(source) => match source.make(stream) {
-                        Ok((detector, spec)) => e.insert(StreamState::with_spec(detector, spec)),
+                std::collections::hash_map::Entry::Vacant(e) => match default_spec {
+                    Some(spec) => match spec.build() {
+                        Ok(detector) => {
+                            e.insert(StreamState::with_spec(detector, Some(spec.clone())))
+                        }
                         Err(error) => {
                             // Unreachable for a builder-validated spec, but a
                             // worker must never panic over it.
-                            queue.record_error(error);
+                            queue.record_error(EngineError::InvalidSpec(error.to_string()));
                             continue;
                         }
                     },
@@ -868,7 +834,7 @@ fn worker_loop(
     rx: Receiver<ShardMsg>,
     queue: Arc<QueueState>,
     mut shard: ShardState,
-    source: Option<DetectorSource>,
+    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     emit_warnings: bool,
 ) {
@@ -898,7 +864,13 @@ fn worker_loop(
                     }
                 }
                 let started = Instant::now();
-                shard.ingest(&records, source.as_ref(), &sinks, emit_warnings, &queue);
+                shard.ingest(
+                    &records,
+                    default_spec.as_ref(),
+                    &sinks,
+                    emit_warnings,
+                    &queue,
+                );
                 shard.note_batch(records.len(), started.elapsed().as_secs_f64());
             }
             ShardMsg::Register {
@@ -910,7 +882,7 @@ fn worker_loop(
                 // Spec-carrying registrations are durable: the spec string
                 // replays the registration verbatim during recovery.
                 // Explicit-instance registrations (no spec) cannot be
-                // logged — their detector is an opaque closure product —
+                // logged — their detector is an opaque caller-built value —
                 // so recovery relies on the next checkpoint capturing them.
                 let logged_spec = spec.clone();
                 let result = shard.register(stream, detector, spec);
@@ -991,9 +963,8 @@ struct HandleShared {
     /// Worker join handles, taken by the first successful
     /// [`EngineHandle::shutdown`].
     workers: Mutex<Vec<JoinHandle<()>>>,
-    config: EngineConfig,
+    emit_warnings: bool,
     queue_capacity: usize,
-    has_factory: bool,
     /// The sequence layout [`EngineHandle::snapshot`] writes —
     /// [`SnapshotEncoding::Json`] (wire v3) unless the builder opted into
     /// compact binary (wire v4) via
@@ -1021,9 +992,8 @@ struct HandleShared {
 /// A cheaply-cloneable, thread-safe front door to a running engine.
 ///
 /// Obtained from [`crate::EngineBuilder::build`]. Clones share the same
-/// worker threads and queues; dropping the last clone (and any
-/// [`crate::DriftEngine`] facade holding one) lets the workers drain and
-/// exit on their own.
+/// worker threads and queues; dropping the last clone lets the workers
+/// drain and exit on their own.
 ///
 /// Queueing and barrier semantics: `submit` blocks on a full shard queue
 /// while [`EngineHandle::try_submit`] fails fast; [`EngineHandle::flush`],
@@ -1050,9 +1020,9 @@ impl Clone for EngineHandle {
 impl std::fmt::Debug for EngineHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineHandle")
-            .field("config", &self.shared.config)
+            .field("shards", &self.senders.len())
+            .field("emit_warnings", &self.shared.emit_warnings)
             .field("queue_capacity", &self.shared.queue_capacity)
-            .field("has_factory", &self.shared.has_factory)
             .field("closed", &self.shared.queue.closed.load(Ordering::SeqCst))
             .finish()
     }
@@ -1060,14 +1030,14 @@ impl std::fmt::Debug for EngineHandle {
 
 /// Spawns the shard workers and assembles the handle. Called by
 /// [`crate::EngineBuilder::build`] after validation. `initial_streams` is
-/// the per-shard placement of restored and pre-registered streams; it seeds
-/// the routing table, so non-modulo placements (a restored v3 snapshot)
-/// stick.
+/// the per-shard placement of restored and pre-registered streams, one map
+/// per shard; it seeds the routing table, so non-modulo placements (a
+/// restored v3 snapshot) stick.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_engine(
-    config: EngineConfig,
+    emit_warnings: bool,
     queue_capacity: usize,
-    source: Option<DetectorSource>,
+    default_spec: Option<DetectorSpec>,
     sinks: Vec<Arc<dyn EventSink>>,
     initial_streams: Vec<HashMap<u64, StreamState>>,
     auto_rebalance_threshold: Option<f64>,
@@ -1075,23 +1045,23 @@ pub(crate) fn spawn_engine(
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<CheckpointConfig>,
 ) -> EngineHandle {
-    debug_assert_eq!(initial_streams.len(), config.shards);
+    let shards = initial_streams.len();
     let queue = Arc::new(QueueState {
-        depth: Mutex::new(vec![0; config.shards]),
+        depth: Mutex::new(vec![0; shards]),
         space: Condvar::new(),
         closed: AtomicBool::new(false),
         errors: Mutex::new(Vec::new()),
     });
     let router = Router::new(
-        config.shards,
+        shards,
         initial_streams
             .iter()
             .enumerate()
             .flat_map(|(shard, streams)| streams.keys().map(move |&stream| (stream, shard))),
     );
 
-    let mut senders = Vec::with_capacity(config.shards);
-    let mut workers = Vec::with_capacity(config.shards);
+    let mut senders = Vec::with_capacity(shards);
+    let mut workers = Vec::with_capacity(shards);
     for (shard_index, streams) in initial_streams.into_iter().enumerate() {
         let (tx, rx) = channel();
         let shard = ShardState {
@@ -1110,13 +1080,20 @@ pub(crate) fn spawn_engine(
             ..ShardState::default()
         };
         let queue = Arc::clone(&queue);
-        let source = source.clone();
+        let default_spec = default_spec.clone();
         let sinks = sinks.clone();
-        let emit_warnings = config.emit_warnings;
         let worker = std::thread::Builder::new()
             .name(format!("optwin-shard-{shard_index}"))
             .spawn(move || {
-                worker_loop(shard_index, rx, queue, shard, source, sinks, emit_warnings);
+                worker_loop(
+                    shard_index,
+                    rx,
+                    queue,
+                    shard,
+                    default_spec,
+                    sinks,
+                    emit_warnings,
+                );
             })
             .expect("failed to spawn engine shard worker");
         senders.push(tx);
@@ -1129,9 +1106,8 @@ pub(crate) fn spawn_engine(
             queue,
             router,
             workers: Mutex::new(workers),
-            config,
+            emit_warnings,
             queue_capacity,
-            has_factory: source.is_some(),
             snapshot_encoding,
             auto_rebalance_threshold,
             futile_auto_rebalance: Mutex::new(None),
@@ -1147,25 +1123,10 @@ impl EngineHandle {
         self.senders.len()
     }
 
-    /// The engine configuration the handle was built with.
-    #[must_use]
-    pub fn config(&self) -> EngineConfig {
-        self.shared.config
-    }
-
     /// Per-shard queue capacity, in records.
     #[must_use]
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue_capacity
-    }
-
-    /// `true` when the engine auto-registers unknown streams through a
-    /// default detector source — either a [`DetectorSpec`] installed with
-    /// [`crate::EngineBuilder::default_spec`] or a closure factory installed
-    /// with [`crate::EngineBuilder::factory`].
-    #[must_use]
-    pub fn has_factory(&self) -> bool {
-        self.shared.has_factory
     }
 
     /// The shard records for `stream` currently route to — the routing
@@ -1210,7 +1171,7 @@ impl EngineHandle {
     /// [`EngineHandle::shutdown`] (or a worker death), or
     /// [`EngineError::Poisoned`] when internal state was poisoned by a
     /// panicking thread. Records referencing unknown streams are validated
-    /// on the worker: with a factory they auto-register, without one the
+    /// on the worker: with a default spec they auto-register, without one the
     /// offending records are dropped and the error surfaces at the next
     /// [`EngineHandle::flush`].
     pub fn submit(&self, records: &[(u64, f64)]) -> Result<(), EngineError> {
@@ -1292,8 +1253,9 @@ impl EngineHandle {
     /// does not know about. The stream records **no [`DetectorSpec`]**:
     /// [`EngineHandle::stream_spec`] reports `None` for it, and an
     /// [`EngineHandle::snapshot`] containing it is not self-describing —
-    /// restoring that snapshot requires a factory
-    /// ([`crate::EngineBuilder::factory`]) able to rebuild the detector.
+    /// restoring it needs a [`crate::EngineBuilder::default_spec`] or a
+    /// [`crate::StreamStateSnapshot::spec`] filled in before
+    /// [`crate::EngineBuilder::restore`].
     /// Prefer [`EngineHandle::register_stream_spec`] when the detector can
     /// be described declaratively.
     ///
@@ -1355,7 +1317,7 @@ impl EngineHandle {
     /// The [`DetectorSpec`] a live stream is running, so operators can
     /// introspect a fleet without bookkeeping on the side. Returns `None`
     /// when the stream is not registered *or* was registered without a spec
-    /// (explicit instance / closure factory) — use
+    /// (explicit instance) — use
     /// [`EngineHandle::stream_stats`] to distinguish the two.
     ///
     /// # Errors
@@ -1372,7 +1334,7 @@ impl EngineHandle {
     ///
     /// Returns the first ingestion error recorded since the last flush
     /// (e.g. [`EngineError::UnknownStream`] for records dropped by a
-    /// factory-less engine — any further pending errors are discarded
+    /// spec-less engine — any further pending errors are discarded
     /// together with it), [`EngineError::ChannelClosed`] when the engine has
     /// shut down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn flush(&self) -> Result<(), EngineError> {
@@ -1853,7 +1815,7 @@ impl EngineHandle {
                 full,
                 streams,
                 self.senders.len(),
-                self.shared.config.emit_warnings,
+                self.shared.emit_warnings,
             )
         });
         if result.is_err() {
@@ -1865,7 +1827,7 @@ impl EngineHandle {
     /// Serializes the state of every stream into an [`EngineSnapshot`], as
     /// a barrier: the snapshot reflects every record submitted by this
     /// thread before the call. Restore it with
-    /// [`crate::EngineBuilder::restore`] — with **no factory needed** when
+    /// [`crate::EngineBuilder::restore`] — with **no default spec needed** when
     /// every stream was registered through a [`DetectorSpec`] (the snapshot
     /// then embeds `{spec, state}` per stream; see
     /// [`EngineSnapshot::is_self_describing`]). Wire format v3 additionally
@@ -1929,7 +1891,7 @@ impl EngineHandle {
         Ok(EngineSnapshot {
             version: wire_version(encoding),
             shards: self.senders.len(),
-            emit_warnings: self.shared.config.emit_warnings,
+            emit_warnings: self.shared.emit_warnings,
             streams,
         })
     }

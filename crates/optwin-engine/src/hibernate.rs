@@ -23,8 +23,8 @@
 //! snapshots) to a fleet that never sleeps — enforced by
 //! `tests/engine_hibernation.rs` and the forced-cycle adversarial proptest.
 //!
-//! Only spec-registered streams hibernate: a closure-factory or
-//! explicit-instance stream has no declarative recipe to rebuild its
+//! Only spec-registered streams hibernate: an explicit-instance stream
+//! has no declarative recipe to rebuild its
 //! detector from, so the sweep skips it (as it skips custom detectors
 //! without snapshot support). Hibernated streams stay first-class: they
 //! migrate across shards during [`crate::EngineHandle::rebalance`] (the

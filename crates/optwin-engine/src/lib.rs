@@ -6,14 +6,16 @@
 //!
 //! * [`EngineBuilder`] configures shard count, the default detector — a
 //!   declarative [`optwin_baselines::DetectorSpec`]
-//!   ([`EngineBuilder::default_spec`], the canonical path) or a closure
-//!   factory (the escape hatch) — warning policy, event sinks and queue
-//!   capacity, then spawns **one long-lived worker thread per shard** (a
+//!   ([`EngineBuilder::default_spec`]) — warning policy, event sinks and
+//!   queue capacity, then spawns **one long-lived worker thread per shard** (a
 //!   stream lives on shard `id % shards` for its whole life, so per-stream
 //!   order is preserved with no locking). Heterogeneous fleets mix specs
 //!   per stream via [`EngineBuilder::stream_spec`] /
 //!   [`EngineHandle::register_stream_spec`], and
 //!   [`EngineHandle::stream_spec`] reports what a live stream is running.
+//!   Explicit detector instances ([`EngineBuilder::stream`] /
+//!   [`EngineHandle::register_stream`]) are the one escape hatch for
+//!   custom detector types.
 //! * [`EngineHandle`] — cheaply cloneable and thread-safe — is the front
 //!   door: [`EngineHandle::submit`] partitions a `(stream id, value)` record
 //!   batch onto bounded per-shard queues and **returns immediately**;
@@ -39,9 +41,11 @@
 //!   fresh engine that makes **identical subsequent decisions**, so a
 //!   restarted process resumes mid-stream. Snapshots of spec-registered
 //!   streams embed `{spec, state, shard}` (wire format v3) and restore
-//!   with **zero caller-side factories**, reproducing a rebalanced
+//!   with no caller-side configuration, reproducing a rebalanced
 //!   placement; all 8 shipped detector kinds serialize their state
-//!   bit-exactly. v1/v2 snapshots still load.
+//!   bit-exactly. v1/v2 snapshots still load: their spec-less entries
+//!   restore through the builder's default spec, or through specs the
+//!   caller fills into [`StreamStateSnapshot::spec`].
 //! * Whole fleets load from config files: [`FleetConfig`] /
 //!   [`EngineBuilder::from_config_json`] turn a JSON map of
 //!   `stream id → spec string` into a fully registered engine.
@@ -68,35 +72,20 @@
 //!   and resumes **bit-exactly** — same events, same `seq` numbers, and
 //!   hibernated streams recover still asleep (see [`checkpoint`]).
 //!
-//! The original synchronous API survives as a thin blocking wrapper:
-//! [`DriftEngine::ingest_batch`] is exactly `submit` + `flush` + drain of an
-//! internal [`MemorySink`], so it stays bit-identical to element-wise
-//! ingestion (the detector contract, enforced by
-//! `tests/detector_contract.rs`) while the heavy lifting happens on the
-//! shard workers.
-//!
-//! # Quick start (service API)
+//! # Quick start
 //!
 //! ```
 //! use std::sync::Arc;
-//! use optwin_core::{DriftDetector, Optwin, OptwinConfig};
 //! use optwin_engine::{EngineBuilder, MemorySink};
 //!
-//! // Detections land in a shared sink; detectors are created on first
-//! // sight of a stream id (one shared cut table across all of them).
+//! // Detections land in a shared sink; detectors are created from the
+//! // default spec on first sight of a stream id (one shared cut table
+//! // across all of them).
 //! let sink = Arc::new(MemorySink::new());
 //! let handle = EngineBuilder::new()
 //!     .shards(4)
 //!     .queue_capacity(8_192)
-//!     .factory(|_stream| {
-//!         let config = OptwinConfig::builder()
-//!             .robustness(1.0)
-//!             .max_window(500)
-//!             .build()
-//!             .expect("valid config");
-//!         Box::new(Optwin::with_shared_table(config).expect("valid config"))
-//!             as Box<dyn DriftDetector + Send>
-//!     })
+//!     .default_spec("optwin:rho=1.0,w_max=500".parse().expect("valid spec"))
 //!     .sink(Arc::clone(&sink) as Arc<dyn optwin_engine::EventSink>)
 //!     .build()
 //!     .expect("valid engine");
@@ -120,21 +109,6 @@
 //! assert!(events.iter().all(|e| e.stream == 3));
 //! assert!(events.iter().any(|e| e.seq >= 2_000), "drift found after the shift");
 //! ```
-//!
-//! # Blocking wrapper
-//!
-//! ```
-//! use optwin_engine::{DriftEngine, EngineConfig};
-//! # use optwin_core::{DriftDetector, Optwin, OptwinConfig};
-//!
-//! let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(2), |_| {
-//!     let config = OptwinConfig::builder().max_window(200).build().unwrap();
-//!     Box::new(Optwin::with_shared_table(config).unwrap()) as Box<dyn DriftDetector + Send>
-//! });
-//! let events = engine.ingest_batch(&[(1, 0.1), (2, 0.2), (1, 0.15)]).unwrap();
-//! assert!(events.is_empty());
-//! assert_eq!(engine.stream_count(), 2);
-//! ```
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -156,12 +130,10 @@ pub use checkpoint::{
     fsync_count, load_checkpoint_dir, CheckpointPolicy, CheckpointReport, Durability,
     CHECKPOINT_WIRE_VERSION,
 };
-pub use engine::{DriftEngine, EngineConfig, EngineError, StreamSnapshot};
+pub use engine::{EngineError, StreamSnapshot};
 pub use event::DriftEvent;
 pub use fleet::FleetConfig;
-pub use handle::{
-    EngineHandle, EngineStats, RebalancePolicy, RebalanceReport, ShardLoad, SharedDetectorFactory,
-};
+pub use handle::{EngineHandle, EngineStats, RebalancePolicy, RebalanceReport, ShardLoad};
 pub use hibernate::HibernationPolicy;
 pub use persist::{wire_version, EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 pub use replay::{replay, ReplayConfig, ReplayReport};

@@ -17,15 +17,17 @@
 //! [`crate::EngineBuilder::default_spec`] / [`crate::EngineBuilder::stream_spec`]
 //! or the handle's [`crate::EngineHandle::register_stream_spec`]) records its
 //! spec in the snapshot as `{spec, state}`. Restoring such a snapshot needs
-//! **no caller-side factory at all**: the builder reconstructs each detector
-//! from its embedded spec and restores the serialized state into it.
+//! **no caller-side configuration at all**: the builder reconstructs each
+//! detector from its embedded spec and restores the serialized state into
+//! it.
 //!
-//! Streams registered with an opaque detector instance (the closure-factory
-//! escape hatch or [`crate::EngineHandle::register_stream`]) have no spec to
-//! embed — their snapshot entry carries `state` only and restoring them
-//! still requires a factory, exactly like the v1 format. Version-1 snapshots
-//! (no `spec` entries at all) therefore keep loading behind a factory,
-//! unchanged.
+//! Streams registered with an opaque detector instance
+//! ([`crate::EngineBuilder::stream`] / [`crate::EngineHandle::register_stream`])
+//! have no spec to embed — their snapshot entry carries `state` only, like
+//! every entry of a version-1 snapshot. Such entries restore through the
+//! restoring builder's [`crate::EngineBuilder::default_spec`], or through a
+//! spec the caller fills into [`StreamStateSnapshot::spec`] before
+//! [`crate::EngineBuilder::restore`].
 //!
 //! # Wire format v3: placement-preserving streams
 //!
@@ -68,7 +70,7 @@
 //!
 //! The snapshot deliberately excludes detector *configuration* beyond the
 //! spec string: restoration re-derives shared resources (e.g. OPTWIN cut
-//! tables) from the spec or factory. Shard count and warning policy are
+//! tables) from the spec. Shard count and warning policy are
 //! recorded as provenance and do not constrain the restoring builder.
 //!
 //! # Wire format v5: checkpoint directories (built on v4)
@@ -85,7 +87,7 @@
 //! migration, cleared only when a checkpoint captures the stream — which is
 //! what makes the overlays sparse. Recovery merges base → overlays → WAL
 //! tail through the ordinary restore path of this module, so everything
-//! above about bit-exactness, factory-less spec restore, placement and
+//! above about bit-exactness, self-describing spec restore, placement and
 //! hibernated entries applies to recovered fleets unchanged.
 
 use optwin_baselines::DetectorSpec;
@@ -97,10 +99,10 @@ use crate::engine::EngineError;
 /// Current serialization format version of [`EngineSnapshot`].
 ///
 /// * **v1** — per-stream `{seq, detector, state}`; restore requires a
-///   factory.
+///   default spec or caller-filled specs.
 /// * **v2** — adds the optional per-stream `spec`, making restore
-///   factory-less for spec-registered streams. v1 snapshots still parse and
-///   restore (behind a factory).
+///   self-describing for spec-registered streams. v1 snapshots still parse
+///   and restore (through a default spec or caller-filled specs).
 /// * **v3** — adds the optional per-stream `shard`, making restore
 ///   placement-preserving (a rebalanced routing table survives a restart).
 ///   v1/v2 snapshots still parse and restore, defaulting to `id % shards`.
@@ -142,8 +144,10 @@ pub struct StreamStateSnapshot {
     /// across restarts so lifetime stats stay meaningful).
     pub detector_seconds: f64,
     /// The spec the stream was registered with, when it was registered
-    /// declaratively (`None` for closure-factory and explicit-instance
-    /// streams, and for every stream of a v1 snapshot).
+    /// declaratively (`None` for explicit-instance streams, and for every
+    /// stream of a v1 snapshot). A caller may fill it in before
+    /// [`crate::EngineBuilder::restore`] to say which detector a spec-less
+    /// entry runs.
     pub spec: Option<DetectorSpec>,
     /// The shard the stream lived on when the snapshot was taken (`None`
     /// for v1/v2 snapshots). Restores re-pin the stream to
@@ -251,7 +255,7 @@ impl EngineSnapshot {
     }
 
     /// `true` when every stream embeds its [`DetectorSpec`], i.e. the
-    /// snapshot restores with no factory configured.
+    /// snapshot restores with no default spec configured.
     #[must_use]
     pub fn is_self_describing(&self) -> bool {
         self.streams.iter().all(|s| s.spec.is_some())

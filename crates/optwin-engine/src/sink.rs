@@ -6,9 +6,8 @@
 //! alerting, storage or in-process consumers without the submitting thread
 //! ever seeing them. Three implementations ship with the crate:
 //!
-//! * [`MemorySink`] — buffers events in memory for later draining. This
-//!   preserves the collect-and-return semantics of the synchronous
-//!   [`crate::DriftEngine`] API and is what the evaluation harness uses.
+//! * [`MemorySink`] — buffers events in memory for later draining; the
+//!   collect-after-flush shape the evaluation harness uses.
 //! * [`JsonLinesSink`] — serializes each event as one JSON object per line
 //!   to any `Write` target (a file, stdout, a socket), the standard
 //!   interchange shape for log shippers.
@@ -51,9 +50,8 @@ pub trait EventSink: Send + Sync {
 
 /// Collects events in memory until the consumer drains them.
 ///
-/// This is the sink behind the synchronous [`crate::DriftEngine`] facade:
-/// `ingest_batch` submits, flushes, then [`MemorySink::drain`]s to return
-/// the batch's events.
+/// The blocking collect-and-return pattern is [`crate::EngineHandle::submit`],
+/// then [`crate::EngineHandle::flush`], then [`MemorySink::drain`].
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<DriftEvent>>,

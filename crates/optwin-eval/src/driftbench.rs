@@ -28,7 +28,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use optwin_baselines::DetectorSpec;
-use optwin_engine::{replay, EngineBuilder, EngineConfig, EventSink, MemorySink, ReplayConfig};
+use optwin_engine::{replay, EngineBuilder, EventSink, MemorySink, ReplayConfig};
 use optwin_stream::{GeneratedScenario, ScenarioKind};
 
 use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
@@ -50,8 +50,8 @@ pub struct DriftbenchConfig {
     pub stream_len: usize,
     /// Base RNG seed; repetition `r` uses `base_seed + r`.
     pub base_seed: u64,
-    /// Engine shard count (`None` → one per CPU core, clamped to the stream
-    /// count).
+    /// Engine shard count, clamped to the stream count (`None` → one per
+    /// CPU core).
     pub shards: Option<usize>,
     /// Zipf exponent of the replay traffic mix (see
     /// [`ReplayConfig::zipf_exponent`]).
@@ -115,6 +115,38 @@ pub fn default_lineup(optwin_w_max: usize) -> Vec<(String, DetectorSpec)> {
                 label.to_string(),
                 spec.parse::<DetectorSpec>()
                     .expect("line-up spec strings are valid"),
+            )
+        })
+        .collect()
+}
+
+/// The paper's Table 1/2 detector line-up: the five baselines at their
+/// reference parameters plus OPTWIN at ρ = 0.1, 0.5 and 1.0, labelled as
+/// the paper's tables print them (`"ADWIN"`, `"OPTWIN rho=0.5"`, …).
+///
+/// # Panics
+///
+/// Panics if `optwin_w_max` is not a valid OPTWIN window bound (e.g. below
+/// the minimum window of 30).
+#[must_use]
+pub fn paper_lineup(optwin_w_max: usize) -> Vec<(String, DetectorSpec)> {
+    let optwin = |rho: &str| format!("optwin:rho={rho},w_max={optwin_w_max}");
+    let specs = [
+        ("ADWIN", "adwin".to_string()),
+        ("DDM", "ddm".to_string()),
+        ("EDDM", "eddm".to_string()),
+        ("STEPD", "stepd".to_string()),
+        ("ECDD", "ecdd".to_string()),
+        ("OPTWIN rho=0.1", optwin("0.1")),
+        ("OPTWIN rho=0.5", optwin("0.5")),
+        ("OPTWIN rho=1.0", optwin("1.0")),
+    ];
+    specs
+        .into_iter()
+        .map(|(label, spec)| {
+            (
+                label.to_string(),
+                spec.parse().expect("line-up spec strings are valid"),
             )
         })
         .collect()
@@ -221,16 +253,15 @@ pub fn run_driftbench(config: &DriftbenchConfig) -> DriftbenchReport {
     // One engine stream per (cell, seed); consecutive ids spread round-robin
     // over the shard workers.
     let n_streams = cells.len() * config.seeds;
-    let shards = config
-        .shards
-        .unwrap_or_else(|| EngineConfig::default().shards)
-        .clamp(1, n_streams);
     let stream_id = |cell: usize, seed: usize| (cell * config.seeds + seed) as u64;
 
     let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::from_config(EngineConfig::with_shards(shards))
+    let mut builder = EngineBuilder::new()
         .queue_capacity(DRIFTBENCH_QUEUE_CAPACITY)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+    if let Some(shards) = config.shards {
+        builder = builder.shards(shards.clamp(1, n_streams));
+    }
     for (cell, &(_, d)) in cells.iter().enumerate() {
         for seed in 0..config.seeds {
             builder = builder.stream_spec(stream_id(cell, seed), config.detectors[d].1.clone());
@@ -396,6 +427,38 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).expect("serializable");
         let back: DriftbenchReport = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(report, back);
+    }
+
+    #[test]
+    fn paper_lineup_labels_and_specs_match_the_paper() {
+        let lineup = paper_lineup(777);
+        let labels: Vec<&str> = lineup.iter().map(|(label, _)| label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "ADWIN",
+                "DDM",
+                "EDDM",
+                "STEPD",
+                "ECDD",
+                "OPTWIN rho=0.1",
+                "OPTWIN rho=0.5",
+                "OPTWIN rho=1.0"
+            ]
+        );
+        let binary_only: Vec<bool> = lineup.iter().map(|(_, s)| s.binary_only()).collect();
+        assert_eq!(
+            binary_only,
+            [false, true, true, false, true, false, false, false]
+        );
+        let DetectorSpec::Optwin { config } = &lineup[6].1 else {
+            panic!("OPTWIN entry expected")
+        };
+        assert_eq!(config.rho, 0.5);
+        assert_eq!(config.w_max, 777);
+        for (_, spec) in &lineup {
+            spec.validate().expect("valid spec");
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use optwin_baselines::{DetectorKind, DetectorSpec};
+use optwin_baselines::DetectorSpec;
 use optwin_core::DriftDetector;
-use optwin_engine::{EngineBuilder, EngineConfig, EventSink, MemorySink, RebalancePolicy};
+use optwin_engine::{EngineBuilder, EventSink, MemorySink, RebalancePolicy};
 use optwin_learners::{NaiveBayes, OnlineLearner};
 use optwin_stream::drift::MultiConceptStream;
 use optwin_stream::generators::{
@@ -29,7 +29,6 @@ use optwin_stream::generators::{
 };
 use optwin_stream::{DriftKind, DriftSchedule, ErrorStream, ErrorStreamConfig, InstanceStream};
 
-use crate::factory::DetectorFactory;
 use crate::metrics::{score_detections, AggregateMetrics, DetectionOutcome};
 
 /// One of the paper's Table 1 experiment configurations.
@@ -82,22 +81,13 @@ impl Table1Experiment {
 
     /// Whether the experiment produces binary error indicators (DDM, EDDM and
     /// ECDD can only run on those; the paper omits them from the non-binary
-    /// rows).
+    /// rows, and so does [`run_table1`]).
     #[must_use]
     pub fn binary_signal(&self) -> bool {
         !matches!(
             self,
             Table1Experiment::GradualNonBinary | Table1Experiment::SuddenNonBinary
         )
-    }
-
-    /// The detector line-up that is applicable to this experiment.
-    #[must_use]
-    pub fn applicable_detectors(&self) -> Vec<DetectorKind> {
-        DetectorKind::paper_lineup()
-            .into_iter()
-            .filter(|kind| self.binary_signal() || !kind.binary_only())
-            .collect()
     }
 
     /// Stream length used by the experiment. The error-stream experiments use
@@ -290,138 +280,36 @@ const TABLE1_BATCH: usize = 4_096;
 /// without the queues growing unbounded.
 const TABLE1_QUEUE_CAPACITY: usize = 256 * 1_024;
 
-/// Runs the full (experiment × detector) grid for a number of repetitions,
-/// fanning the `detectors × repetitions` runs across engine shards. The
-/// paper line-up is resolved to declarative [`DetectorSpec`]s through
-/// [`DetectorFactory::spec_for`] and the grid is delegated to
-/// [`run_table1_specs`].
+/// Runs one Table 1 experiment for a `(label, spec)` detector line-up —
+/// usually [`crate::driftbench::paper_lineup`] — over a number of
+/// repetitions, one engine stream per `(entry, repetition)` run. Entries
+/// whose spec is [`DetectorSpec::binary_only`] are dropped on experiments
+/// without a [`Table1Experiment::binary_signal`], as in the paper, so the
+/// result has one row per remaining entry (possibly none).
 ///
 /// `stream_len` overrides the experiment's default length (useful for tests
 /// and quick runs); pass `None` for the paper-scale streams. `shards` picks
-/// the engine shard count; `None` uses one shard per available CPU core.
-/// With `rebalance` the engine's stream placement is recomputed from
-/// observed load at a flush barrier after every repetition's traffic — the
-/// `--rebalance` CLI knob. Results are identical for every shard count,
-/// with and without rebalancing, and to the historical strictly sequential
-/// runner: each run is an isolated detector stream, the batch path is
+/// the engine shard count (clamped to `1..=runs`); `None` keeps
+/// [`EngineBuilder::new`]'s one shard per CPU core. With `rebalance` the
+/// engine's stream placement is recomputed from observed load at a flush
+/// barrier after every repetition's traffic — the `--rebalance` CLI knob.
+/// Results are identical for every shard count, with and without
+/// rebalancing: each run is an isolated detector stream, the batch path is
 /// contractually equivalent to element-wise ingestion, and migrations
 /// preserve per-stream record order bit-exactly.
 ///
-/// # Panics
-///
-/// Panics if the engine shuts down mid-run, which only happens when a
-/// detector panics on a worker thread.
-#[must_use]
-pub fn run_table1_experiment_sharded(
-    experiment: Table1Experiment,
-    factory: &DetectorFactory,
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-    shards: Option<usize>,
-    rebalance: bool,
-) -> Vec<Table1Aggregate> {
-    let entries: Vec<(String, DetectorSpec)> = experiment
-        .applicable_detectors()
-        .into_iter()
-        .map(|kind| (kind.label(), factory.spec_for(kind)))
-        .collect();
-    run_table1_grid(
-        experiment,
-        &entries,
-        repetitions,
-        stream_len,
-        base_seed,
-        shards,
-        rebalance,
-    )
-}
-
-/// Runs a Table 1 experiment for an arbitrary list of detector specs (the
-/// `--detector <spec>` CLI path): one engine stream per
-/// `(spec, repetition)` run, labelled by each spec's canonical string.
-///
-/// Binary-only specs (DDM, EDDM, ECDD) are only meaningful on experiments
-/// with [`Table1Experiment::binary_signal`]; the caller is expected to
-/// filter (as [`Table1Experiment::applicable_detectors`] does for the paper
-/// line-up).
-///
-/// # Panics
-///
-/// Panics if a spec fails validation or the engine shuts down mid-run.
-#[must_use]
-pub fn run_table1_specs(
-    experiment: Table1Experiment,
-    specs: &[DetectorSpec],
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-    shards: Option<usize>,
-    rebalance: bool,
-) -> Vec<Table1Aggregate> {
-    let entries: Vec<(String, DetectorSpec)> = specs
-        .iter()
-        .map(|spec| (spec.to_string(), spec.clone()))
-        .collect();
-    run_table1_grid(
-        experiment,
-        &entries,
-        repetitions,
-        stream_len,
-        base_seed,
-        shards,
-        rebalance,
-    )
-}
-
-/// Runs a Table 1 experiment for a configured fleet (the `--fleet <file>`
-/// CLI path): one engine stream per `(fleet entry, repetition)`, every
-/// stream running the detector its config entry names, rows labelled
-/// `#<id> <spec id>`.
-///
-/// Binary-only specs (DDM, EDDM, ECDD) are filtered out on non-binary
-/// experiments, matching the paper's treatment of those detectors.
-///
-/// # Panics
-///
-/// Panics if a spec fails validation or the engine shuts down mid-run.
-#[must_use]
-pub fn run_table1_fleet(
-    experiment: Table1Experiment,
-    fleet: &[(u64, DetectorSpec)],
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-    shards: Option<usize>,
-    rebalance: bool,
-) -> Vec<Table1Aggregate> {
-    let entries: Vec<(String, DetectorSpec)> = fleet
-        .iter()
-        .filter(|(_, spec)| experiment.binary_signal() || !spec.binary_only())
-        .map(|(stream, spec)| (format!("#{stream} {}", spec.id()), spec.clone()))
-        .collect();
-    run_table1_grid(
-        experiment,
-        &entries,
-        repetitions,
-        stream_len,
-        base_seed,
-        shards,
-        rebalance,
-    )
-}
-
-/// The shared spec-driven grid runner behind [`run_table1_experiment_sharded`]
-/// and [`run_table1_specs`].
-///
-/// The runner drives the service-style engine API end to end: an
-/// [`EngineBuilder`] spawns one worker per shard with a [`MemorySink`]
-/// attached, every `(label, spec)` × repetition run is pre-registered
+/// The runner drives the engine end to end: every run is pre-registered
 /// declaratively via [`EngineBuilder::stream_spec`], every record chunk is
 /// **pipelined** through [`optwin_engine::EngineHandle::submit`] (bounded
 /// queues provide backpressure; no per-chunk barrier), and a single final
-/// `flush` drains the queues before the sink is read back.
-fn run_table1_grid(
+/// `flush` drains the queues before the [`MemorySink`] is read back.
+///
+/// # Panics
+///
+/// Panics if a spec fails validation or the engine shuts down mid-run,
+/// which only happens when a detector panics on a worker thread.
+#[must_use]
+pub fn run_table1(
     experiment: Table1Experiment,
     entries: &[(String, DetectorSpec)],
     repetitions: usize,
@@ -430,6 +318,10 @@ fn run_table1_grid(
     shards: Option<usize>,
     rebalance: bool,
 ) -> Vec<Table1Aggregate> {
+    let entries: Vec<&(String, DetectorSpec)> = entries
+        .iter()
+        .filter(|(_, spec)| experiment.binary_signal() || !spec.binary_only())
+        .collect();
     let stream_len = stream_len.unwrap_or_else(|| experiment.default_stream_len());
 
     // Pre-generate the error sequences once per repetition so that every
@@ -440,9 +332,6 @@ fn run_table1_grid(
 
     // One engine stream per (spec, repetition) run.
     let n_streams = (entries.len() * repetitions).max(1);
-    let shards = shards
-        .unwrap_or_else(|| EngineConfig::default().shards)
-        .clamp(1, n_streams);
     // Ids are consecutive *within* a repetition (`rep * entries + d`):
     // each submitted chunk carries one repetition's streams, and the engine
     // pins stream `id` to shard `id % shards`, so consecutive ids spread a
@@ -453,9 +342,12 @@ fn run_table1_grid(
     let stream_id = |d: usize, rep: usize| (rep * entries.len() + d) as u64;
 
     let sink = Arc::new(MemorySink::new());
-    let mut builder = EngineBuilder::from_config(EngineConfig::with_shards(shards))
+    let mut builder = EngineBuilder::new()
         .queue_capacity(TABLE1_QUEUE_CAPACITY)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+    if let Some(shards) = shards {
+        builder = builder.shards(shards.clamp(1, n_streams));
+    }
     for (d, (_, spec)) in entries.iter().enumerate() {
         for rep in 0..repetitions {
             builder = builder.stream_spec(stream_id(d, rep), spec.clone());
@@ -530,30 +422,10 @@ fn run_table1_grid(
         .collect()
 }
 
-/// Runs the full (experiment × detector) grid with the default shard count
-/// (one per CPU core). See [`run_table1_experiment_sharded`].
-#[must_use]
-pub fn run_table1_experiment(
-    experiment: Table1Experiment,
-    factory: &DetectorFactory,
-    repetitions: usize,
-    stream_len: Option<usize>,
-    base_seed: u64,
-) -> Vec<Table1Aggregate> {
-    run_table1_experiment_sharded(
-        experiment,
-        factory,
-        repetitions,
-        stream_len,
-        base_seed,
-        None,
-        false,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driftbench::paper_lineup;
 
     #[test]
     fn experiment_metadata() {
@@ -561,10 +433,6 @@ mod tests {
         assert!(Table1Experiment::SuddenBinary.binary_signal());
         assert!(!Table1Experiment::SuddenNonBinary.binary_signal());
         assert_eq!(Table1Experiment::Stagger.label(), "sudden STAGGER");
-        // Non-binary experiments exclude the binary-only detectors.
-        let kinds = Table1Experiment::GradualNonBinary.applicable_detectors();
-        assert!(!kinds.contains(&DetectorKind::Ddm));
-        assert!(kinds.contains(&DetectorKind::Adwin));
         assert_eq!(Table1Experiment::Agrawal.default_stream_len(), 100_000);
     }
 
@@ -609,8 +477,8 @@ mod tests {
     #[test]
     fn run_detector_on_sequence_scores_consistently() {
         let (errors, schedule) = Table1Experiment::SuddenBinary.build_error_sequence(5, 5_000);
-        let factory = DetectorFactory::with_optwin_window(1_000);
-        let mut detector = factory.build(DetectorKind::OptwinRho(500));
+        let spec: DetectorSpec = "optwin:rho=0.5,w_max=1000".parse().unwrap();
+        let mut detector = spec.build().unwrap();
         let run = run_detector_on_sequence(detector.as_mut(), &errors, &schedule);
         assert_eq!(
             run.outcome.true_positives + run.outcome.false_negatives,
@@ -622,10 +490,9 @@ mod tests {
     #[test]
     fn sharded_grid_is_deterministic_across_shard_counts() {
         let run = |shards: Option<usize>, rebalance: bool| {
-            let factory = DetectorFactory::with_optwin_window(800);
-            run_table1_experiment_sharded(
+            run_table1(
                 Table1Experiment::SuddenBinary,
-                &factory,
+                &paper_lineup(800),
                 2,
                 Some(4_000),
                 7,
@@ -647,98 +514,77 @@ mod tests {
     }
 
     #[test]
-    fn fleet_runner_matches_spec_runner() {
-        // A fleet of one stream per spec reproduces the per-spec rows of
-        // `run_table1_specs` exactly (same engine path, same sequences),
-        // and binary-only fleet entries are filtered on non-binary
-        // experiments.
-        let specs: Vec<DetectorSpec> =
-            vec!["adwin".parse().unwrap(), "page_hinkley".parse().unwrap()];
-        let fleet: Vec<(u64, DetectorSpec)> = specs
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, s)| (i as u64 * 10, s))
-            .collect();
-        let by_spec = run_table1_specs(
-            Table1Experiment::SuddenBinary,
-            &specs,
-            2,
-            Some(3_000),
-            13,
-            Some(2),
-            false,
-        );
-        let by_fleet = run_table1_fleet(
-            Table1Experiment::SuddenBinary,
-            &fleet,
-            2,
-            Some(3_000),
-            13,
-            Some(2),
-            true,
-        );
-        assert_eq!(by_fleet.len(), by_spec.len());
-        for (f, s) in by_fleet.iter().zip(&by_spec) {
-            assert_eq!(f.metrics, s.metrics, "{} vs {}", f.detector, s.detector);
-        }
-        assert_eq!(by_fleet[0].detector, "#0 adwin");
-        assert_eq!(by_fleet[1].detector, "#10 page_hinkley");
-
-        let mixed: Vec<(u64, DetectorSpec)> =
-            vec![(1, "ddm".parse().unwrap()), (2, "adwin".parse().unwrap())];
-        let rows = run_table1_fleet(
-            Table1Experiment::SuddenNonBinary,
-            &mixed,
+    fn binary_only_entries_are_dropped_on_non_binary_experiments() {
+        let entries: Vec<(String, DetectorSpec)> = vec![
+            ("#1 ddm".to_string(), "ddm".parse().unwrap()),
+            ("#2 adwin".to_string(), "adwin".parse().unwrap()),
+        ];
+        let run = |experiment| run_table1(experiment, &entries, 1, Some(2_000), 5, Some(2), false);
+        let rows = run(Table1Experiment::SuddenNonBinary);
+        assert_eq!(rows.len(), 1, "binary-only DDM filtered out");
+        assert_eq!(rows[0].detector, "#2 adwin");
+        let rows = run(Table1Experiment::SuddenBinary);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].detector, "#1 ddm");
+        // An all-binary-only line-up yields no rows at all.
+        assert!(run_table1(
+            Table1Experiment::GradualNonBinary,
+            &entries[..1],
             1,
             Some(2_000),
             5,
             Some(2),
-            false,
-        );
-        assert_eq!(rows.len(), 1, "binary-only DDM filtered out");
-        assert_eq!(rows[0].detector, "#2 adwin");
+            false
+        )
+        .is_empty());
     }
 
     #[test]
-    fn spec_runner_matches_lineup_runner_row() {
-        // Running a single spec through `run_table1_specs` must reproduce
-        // the corresponding line-up row exactly (same streams, same specs,
-        // same engine path).
-        let factory = DetectorFactory::with_optwin_window(800);
-        let lineup = run_table1_experiment_sharded(
+    fn single_entry_matches_its_lineup_row() {
+        // Runs are isolated engine streams, so running one line-up entry on
+        // its own reproduces its row of the full line-up exactly.
+        let lineup = paper_lineup(800);
+        let full = run_table1(
             Table1Experiment::SuddenBinary,
-            &factory,
+            &lineup,
             2,
             Some(4_000),
             11,
             Some(2),
             false,
         );
-        let spec = factory.spec_for(DetectorKind::OptwinRho(500));
-        let custom = run_table1_specs(
+        let entry = lineup
+            .iter()
+            .find(|(label, _)| label == "OPTWIN rho=0.5")
+            .expect("line-up entry present");
+        let alone = run_table1(
             Table1Experiment::SuddenBinary,
-            std::slice::from_ref(&spec),
+            std::slice::from_ref(entry),
             2,
             Some(4_000),
             11,
             Some(2),
-            false,
+            true,
         );
-        assert_eq!(custom.len(), 1);
-        assert_eq!(custom[0].detector, spec.to_string());
-        let lineup_row = lineup
+        assert_eq!(alone.len(), 1);
+        let row = full
             .iter()
             .find(|r| r.detector == "OPTWIN rho=0.5")
             .expect("line-up row present");
-        assert_eq!(custom[0].metrics, lineup_row.metrics);
+        assert_eq!(alone[0].metrics, row.metrics);
     }
 
     #[test]
     fn small_scale_table1_grid_runs() {
-        let factory = DetectorFactory::with_optwin_window(1_000);
-        let rows =
-            run_table1_experiment(Table1Experiment::SuddenBinary, &factory, 2, Some(5_000), 42);
+        let rows = run_table1(
+            Table1Experiment::SuddenBinary,
+            &paper_lineup(1_000),
+            2,
+            Some(5_000),
+            42,
+            None,
+            false,
+        );
         // All eight detectors apply to the binary experiment.
         assert_eq!(rows.len(), 8);
         for row in &rows {

@@ -12,9 +12,9 @@
 //! comparison — a miniature, single-run version of the `table1` binary.
 
 use optwin::eval::experiment::{run_detector_on_sequence, Table1Experiment};
-use optwin::{DetectorFactory, DetectorKind};
+use optwin::paper_lineup;
 
-fn main() {
+fn main() -> Result<(), optwin::core::CoreError> {
     let experiment = Table1Experiment::SuddenBinary;
     let (errors, schedule) = experiment.build_error_sequence(2_024, 25_000);
     println!(
@@ -29,9 +29,8 @@ fn main() {
         "Detector", "TP", "FP", "FN", "P", "R", "F1", "mean delay"
     );
 
-    let factory = DetectorFactory::with_optwin_window(5_000);
-    for kind in DetectorKind::paper_lineup() {
-        let mut detector = factory.build(kind);
+    for (label, spec) in paper_lineup(5_000) {
+        let mut detector = spec.build()?;
         let run = run_detector_on_sequence(detector.as_mut(), &errors, &schedule);
         let delay = run
             .outcome
@@ -39,7 +38,7 @@ fn main() {
             .map_or_else(|| "-".to_string(), |d| format!("{d:.1}"));
         println!(
             "{:<18} {:>4} {:>4} {:>4} {:>7.0}% {:>7.0}% {:>7.0}% {:>12}",
-            kind.label(),
+            label,
             run.outcome.true_positives,
             run.outcome.false_positives,
             run.outcome.false_negatives,
@@ -49,4 +48,5 @@ fn main() {
             delay,
         );
     }
+    Ok(())
 }

@@ -9,7 +9,7 @@
 //! |--------|----------|
 //! | [`core`] | the OPTWIN detector, the batch-first [`core::DriftDetector`] trait, optimal-cut tables and their process-wide registry |
 //! | [`baselines`] | ADWIN, DDM, EDDM, STEPD, ECDD, Page–Hinkley, KSWIN |
-//! | [`engine`] | the service-style multi-stream engine: [`engine::EngineBuilder`] → worker threads + [`engine::EngineHandle`], pluggable [`engine::EventSink`]s, snapshot/restore, and the blocking [`engine::DriftEngine`] facade |
+//! | [`engine`] | the service-style multi-stream engine: [`engine::EngineBuilder`] → worker threads + [`engine::EngineHandle`], pluggable [`engine::EventSink`]s, snapshot/restore, checkpoints and hibernation |
 //! | [`stream`] | MOA-style generators, drift composition, error streams |
 //! | [`learners`] | Naive Bayes, logistic regression, MLP, adaptive wrappers |
 //! | [`eval`] | drift metrics, experiment runners for every table/figure |
@@ -61,20 +61,20 @@ pub use optwin_stats as stats;
 pub use optwin_stream as stream;
 
 pub use optwin_baselines::{
-    Adwin, Cascade, CascadeConfig, Ddm, DetectorKind, DetectorSpec, Ecdd, Eddm, Ensemble,
-    EnsembleConfig, Kswin, PageHinkley, Stepd,
+    Adwin, Cascade, CascadeConfig, Ddm, DetectorSpec, Ecdd, Eddm, Ensemble, EnsembleConfig, Kswin,
+    PageHinkley, Stepd,
 };
 pub use optwin_core::{
     BatchOutcome, CutTable, CutTableRegistry, DetectorExt, DriftDetector, DriftStatus, Optwin,
     OptwinConfig, SnapshotEncoding,
 };
 pub use optwin_engine::{
-    load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEngine, DriftEvent,
-    EngineBuilder, EngineConfig, EngineHandle, EngineSnapshot, EngineStats, EventSink, FleetConfig,
+    load_checkpoint_dir, CallbackSink, CheckpointPolicy, CheckpointReport, DriftEvent,
+    EngineBuilder, EngineHandle, EngineSnapshot, EngineStats, EventSink, FleetConfig,
     HibernationPolicy, JsonLinesSink, MemorySink, RebalancePolicy, RebalanceReport, ShardLoad,
 };
 pub use optwin_eval::{
-    default_lineup, run_driftbench, DetectorFactory, DriftbenchCell, DriftbenchConfig,
+    default_lineup, paper_lineup, run_driftbench, DriftbenchCell, DriftbenchConfig,
     DriftbenchReport, Table1Experiment,
 };
 pub use optwin_learners::{AdaptiveLearner, NaiveBayes, OnlineLearner};
@@ -88,23 +88,29 @@ mod tests {
     fn facade_reexports_are_usable() {
         let detector = Optwin::with_defaults().unwrap();
         assert_eq!(detector.name(), "OPTWIN");
-        let kinds = DetectorKind::paper_lineup();
-        assert_eq!(kinds.len(), 8);
+        let lineup = paper_lineup(1_000);
+        assert_eq!(lineup.len(), 8);
         let schedule = DriftSchedule::every(100, 1_000, 1);
         assert_eq!(schedule.n_drifts(), 9);
     }
 
     #[test]
     fn engine_reexports_are_usable() {
-        let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(2), |_| {
-            Box::new(Adwin::with_defaults())
-        });
-        let events: Vec<DriftEvent> = engine
-            .ingest_batch(&[(1, 0.0), (2, 0.0), (1, 1.0)])
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let handle = EngineBuilder::new()
+            .shards(2)
+            .default_spec("adwin".parse().unwrap())
+            .sink(sink.clone())
+            .build()
             .unwrap();
+        handle.submit(&[(1, 0.0), (2, 0.0), (1, 1.0)]).unwrap();
+        handle.flush().unwrap();
+        let events: Vec<DriftEvent> = sink.drain();
         assert!(events.is_empty());
-        assert_eq!(engine.stream_count(), 2);
-        assert_eq!(engine.elements_ingested(), 3);
+        let stats: EngineStats = handle.stats().unwrap();
+        assert_eq!(stats.streams, 2);
+        assert_eq!(stats.elements, 3);
+        handle.shutdown().unwrap();
 
         // The batch contract and the table registry are visible through the
         // facade too.

@@ -7,7 +7,7 @@ use optwin::learners::AdaptiveLearner;
 use optwin::stream::drift::MultiConceptStream;
 use optwin::stream::generators::{Agrawal, AgrawalFunction};
 use optwin::{
-    DetectorFactory, DetectorKind, DriftSchedule, InstanceStream, NaiveBayes, Optwin, OptwinConfig,
+    paper_lineup, DetectorSpec, DriftSchedule, InstanceStream, NaiveBayes, Optwin, OptwinConfig,
 };
 
 /// The headline qualitative claim of the paper on a miniature scale: OPTWIN
@@ -15,15 +15,16 @@ use optwin::{
 /// because it produces (almost) no false positives.
 #[test]
 fn optwin_beats_adwin_on_sudden_binary_f1() {
-    let factory = DetectorFactory::with_optwin_window(2_000);
+    let optwin_spec: DetectorSpec = "optwin:rho=0.5,w_max=2000".parse().unwrap();
+    let adwin_spec: DetectorSpec = "adwin".parse().unwrap();
     let experiment = Table1Experiment::SuddenBinary;
 
     let mut optwin_f1 = Vec::new();
     let mut adwin_f1 = Vec::new();
     for seed in 0..3u64 {
         let (errors, schedule) = experiment.build_error_sequence(seed, 10_000);
-        let mut optwin = factory.build(DetectorKind::OptwinRho(500));
-        let mut adwin = factory.build(DetectorKind::Adwin);
+        let mut optwin = optwin_spec.build().unwrap();
+        let mut adwin = adwin_spec.build().unwrap();
         optwin_f1.push(
             run_detector_on_sequence(optwin.as_mut(), &errors, &schedule)
                 .outcome
@@ -89,18 +90,19 @@ fn agrawal_classification_pipeline_with_adaptation() {
 /// seed and improves on the no-detector baseline for a drifting stream.
 #[test]
 fn classification_cell_reproducibility_and_improvement() {
-    let mut factory = DetectorFactory::with_optwin_window(1_000);
+    let optwin = (
+        "OPTWIN rho=0.5".to_string(),
+        "optwin:rho=0.5,w_max=1000".parse().unwrap(),
+    );
     let a = run_classification_cell(
         ClassificationExperiment::SuddenStagger,
-        Some(DetectorKind::OptwinRho(500)),
-        &mut factory,
+        Some(&optwin),
         Some(10_000),
         9,
     );
     let b = run_classification_cell(
         ClassificationExperiment::SuddenStagger,
-        Some(DetectorKind::OptwinRho(500)),
-        &mut factory,
+        Some(&optwin),
         Some(10_000),
         9,
     );
@@ -110,7 +112,6 @@ fn classification_cell_reproducibility_and_improvement() {
     let baseline = run_classification_cell(
         ClassificationExperiment::SuddenStagger,
         None,
-        &mut factory,
         Some(10_000),
         9,
     );
@@ -122,13 +123,12 @@ fn classification_cell_reproducibility_and_improvement() {
     );
 }
 
-/// Detectors are usable through the trait object returned by the factory and
-/// never report drifts on an all-zero (perfect learner) error stream.
+/// Detectors are usable through the trait object a spec builds and never
+/// report drifts on an all-zero (perfect learner) error stream.
 #[test]
 fn perfect_learner_never_triggers_any_detector() {
-    let factory = DetectorFactory::with_optwin_window(500);
-    for kind in DetectorKind::paper_lineup() {
-        let mut detector = factory.build(kind);
+    for (_, spec) in paper_lineup(500) {
+        let mut detector = spec.build().unwrap();
         for _ in 0..5_000 {
             let status = detector.add_element(0.0);
             assert_ne!(

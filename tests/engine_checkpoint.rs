@@ -382,13 +382,13 @@ fn poisoned_worker_recovery_is_bit_exact() {
     );
 
     // Recovery: spec-registered streams rebuild from their embedded specs;
-    // the pill stream has none and comes back through the factory — as the
-    // healthy detector it always claimed to be.
+    // the pill stream has none and comes back through the default spec — as
+    // the healthy detector it always claimed to be.
     let sink = Arc::new(MemorySink::new());
     let recovered = EngineBuilder::new()
         .shards(4)
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .factory(|_stream| "adwin".parse::<DetectorSpec>().unwrap().build().unwrap())
+        .default_spec(pill_spec)
         .recover_from_dir(&dir)
         .expect("recoverable directory")
         .build()

@@ -1,15 +1,12 @@
 //! End-to-end tests of the service-style engine API, run through the public
 //! facade exactly as a downstream user would.
 //!
-//! Two headline tests drive the acceptance workload for the API redesign:
-//!
-//! * **Submit equivalence** — 1 M elements over 64 mixed-detector streams
-//!   pushed through the non-blocking [`EngineHandle::submit`] path (bounded
-//!   per-shard queues, [`MemorySink`] fan-out) produce exactly the same
-//!   `DriftEvent`s as the synchronous [`DriftEngine::ingest_batch`] wrapper.
-//! * **Snapshot/restore equivalence** — an engine snapshotted mid-stream and
-//!   restored (through its JSON form) into a fresh builder produces exactly
-//!   the events the uninterrupted engine produces for the remaining input.
+//! The headline tests are **snapshot/restore equivalence**: an engine
+//! snapshotted mid-stream and restored (through its JSON form) into a fresh
+//! builder produces exactly the events the uninterrupted engine produces for
+//! the remaining input — for a homogeneous default-spec fleet, for a
+//! heterogeneous fleet of all 8 detector kinds, and for spec-less (v1)
+//! snapshots restored through a default spec.
 
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -17,9 +14,8 @@ use std::time::Duration;
 
 use optwin::engine::EngineError;
 use optwin::{
-    DetectorFactory, DetectorKind, DetectorSpec, DriftDetector, DriftEngine, DriftEvent,
-    EngineBuilder, EngineConfig, EngineHandle, EngineSnapshot, EventSink, MemorySink, Optwin,
-    OptwinConfig,
+    DetectorSpec, DriftDetector, DriftEvent, EngineBuilder, EngineHandle, EngineSnapshot,
+    EventSink, MemorySink,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -33,9 +29,6 @@ fn jitter(i: u64) -> f64 {
     ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
 }
 
-const N_STREAMS: u64 = 64;
-const ELEMENTS_PER_STREAM: usize = 15_625; // 64 × 15 625 = 1 000 000
-
 /// Shard count for the acceptance workloads: 8 by default, overridable via
 /// `OPTWIN_TEST_SHARDS` so CI can matrix the whole suite over shard counts
 /// (results must be identical for every value — that is the engine's core
@@ -48,42 +41,6 @@ fn test_shards() -> usize {
         .unwrap_or(8)
 }
 
-/// The detector kind assigned to a stream: the full 8-kind paper line-up,
-/// tiled over the streams.
-fn kind_of(stream: u64) -> DetectorKind {
-    DetectorKind::paper_lineup()[(stream % 8) as usize]
-}
-
-/// The `i`-th element of a stream: every stream degrades at its own drift
-/// point; binary-only detectors get Bernoulli indicators, the rest get
-/// real-valued losses.
-fn element(stream: u64, i: usize) -> f64 {
-    let drift_at = ELEMENTS_PER_STREAM / 2 + (stream as usize * 37) % 2_000;
-    let p = if i < drift_at { 0.06 } else { 0.55 };
-    let u = jitter(stream.wrapping_mul(0x9E37_79B9) ^ i as u64) + 0.5;
-    if kind_of(stream).binary_only() {
-        f64::from(u < p)
-    } else {
-        (p + 0.4 * (u - 0.5)).clamp(0.0, 1.0)
-    }
-}
-
-/// Builds the paper line-up detector for a stream, with a small OPTWIN
-/// window / KSWIN buffer so the million-element run stays fast in debug
-/// builds.
-fn build_detector(stream: u64) -> Box<dyn DriftDetector + Send> {
-    match kind_of(stream) {
-        DetectorKind::Kswin => Box::new(optwin::baselines::Kswin::new(
-            optwin::baselines::KswinConfig {
-                window_size: 120,
-                stat_size: 25,
-                alpha: 1e-4,
-            },
-        )),
-        kind => DetectorFactory::with_optwin_window(600).build(kind),
-    }
-}
-
 /// Sorted `(stream, seq, is_drift)` view of an event list, the canonical
 /// form for bit-exact comparison (events of different streams interleave
 /// arbitrarily in emission order).
@@ -92,97 +49,11 @@ fn canonical(mut events: Vec<DriftEvent>) -> Vec<DriftEvent> {
     events
 }
 
-/// The acceptance workload: 1 M elements over 64 streams submitted through
-/// the non-blocking handle with a deliberately small queue bound (so
-/// backpressure engages), compared event-for-event against the synchronous
-/// `ingest_batch` wrapper.
-#[test]
-fn one_million_elements_via_submit_match_ingest_batch() {
-    let per_stream_chunk = 128usize;
-    let chunk_records = per_stream_chunk * N_STREAMS as usize;
-
-    // Service path: pipelined submits, one flush at the end.
-    let shards = test_shards();
-    let sink = Arc::new(MemorySink::new());
-    let handle = EngineBuilder::new()
-        .shards(shards)
-        // Two chunks of headroom per shard: submission regularly outruns
-        // detection, so the bounded queue genuinely blocks.
-        .queue_capacity((chunk_records * 2 / shards).max(1))
-        .factory(build_detector)
-        .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
-        .build()
-        .expect("valid engine");
-    assert_eq!(handle.num_shards(), shards);
-
-    let mut records = Vec::with_capacity(chunk_records);
-    let mut start = 0usize;
-    while start < ELEMENTS_PER_STREAM {
-        let end = (start + per_stream_chunk).min(ELEMENTS_PER_STREAM);
-        records.clear();
-        for stream in 0..N_STREAMS {
-            for i in start..end {
-                records.push((stream, element(stream, i)));
-            }
-        }
-        handle.submit(&records).expect("engine running");
-        start = end;
-    }
-    handle.flush().expect("no ingestion errors");
-
-    let stats = handle.stats().expect("engine running");
-    assert_eq!(stats.streams, N_STREAMS as usize);
-    assert_eq!(stats.elements, 1_000_000);
-    let service_events = canonical(sink.drain());
-    assert_eq!(stats.drifts, service_events.len() as u64);
-    handle.shutdown().expect("clean shutdown");
-
-    // Blocking reference: the same records through the synchronous wrapper,
-    // with a different batching (the detector contract makes chunk
-    // boundaries irrelevant).
-    let mut engine = DriftEngine::with_factory(EngineConfig::with_shards(4), build_detector);
-    let mut reference_events = Vec::new();
-    let mut records = Vec::new();
-    let mut start = 0usize;
-    while start < ELEMENTS_PER_STREAM {
-        let end = (start + 500).min(ELEMENTS_PER_STREAM);
-        records.clear();
-        for stream in 0..N_STREAMS {
-            for i in start..end {
-                records.push((stream, element(stream, i)));
-            }
-        }
-        reference_events.extend(engine.ingest_batch(&records).expect("factory-backed"));
-        start = end;
-    }
-
-    assert_eq!(
-        service_events,
-        canonical(reference_events),
-        "submit path must match ingest_batch bit-exactly"
-    );
-    // Every stream was injected with one genuine drift; the line-up detects
-    // the vast majority of them.
-    let streams_with_detection: std::collections::HashSet<u64> =
-        service_events.iter().map(|e| e.stream).collect();
-    assert!(
-        streams_with_detection.len() >= 56,
-        "only {} of 64 streams saw a detection",
-        streams_with_detection.len()
-    );
-}
-
-/// OPTWIN factory shared by the snapshot tests: snapshot-capable and cheap.
-fn optwin_factory(w_max: usize) -> impl Fn(u64) -> Box<dyn DriftDetector + Send> + Clone {
-    move |_stream| {
-        let config = OptwinConfig::builder()
-            .robustness(0.5)
-            .max_window(w_max)
-            .build()
-            .expect("valid config");
-        Box::new(Optwin::with_shared_table(config).expect("valid config"))
-            as Box<dyn DriftDetector + Send>
-    }
+/// The OPTWIN spec shared by the snapshot tests: snapshot-capable and cheap.
+fn optwin_spec(w_max: usize) -> DetectorSpec {
+    format!("optwin:rho=0.5,w_max={w_max}")
+        .parse()
+        .expect("valid spec string")
 }
 
 /// Builds an OPTWIN-backed service engine and returns its handle and sink.
@@ -194,7 +65,7 @@ fn optwin_engine(
     let sink = Arc::new(MemorySink::new());
     let mut builder = EngineBuilder::new()
         .shards(shards)
-        .factory(optwin_factory(w_max))
+        .default_spec(optwin_spec(w_max))
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
     if let Some(snapshot) = restore {
         builder = builder.restore(snapshot);
@@ -275,18 +146,17 @@ fn snapshot_restore_produces_identical_remaining_events() {
     );
 }
 
-/// Unknown streams auto-register through the factory on the submit path;
-/// without a factory the records are dropped and the error surfaces at
+/// Unknown streams auto-register through the default spec on the submit
+/// path; without one the records are dropped and the error surfaces at
 /// flush.
 #[test]
 fn unknown_stream_handling_on_the_submit_path() {
-    // With a factory: auto-registration on first sight.
+    // With a default spec: auto-registration on first sight.
     let (handle, _sink) = optwin_engine(3, 200, None);
-    assert!(handle.has_factory());
     handle
         .submit(&[(10, 0.1), (11, 0.2), (10, 0.3)])
         .expect("engine running");
-    handle.flush().expect("no errors with a factory");
+    handle.flush().expect("no errors with a default spec");
     let stats = handle.stats().expect("engine running");
     assert_eq!(stats.streams, 2);
     assert_eq!(stats.elements, 3);
@@ -300,22 +170,21 @@ fn unknown_stream_handling_on_the_submit_path() {
     );
     handle.shutdown().expect("clean shutdown");
 
-    // Without a factory: the offending records are dropped, the rest are
-    // ingested, and flush reports the error.
+    // Without a default spec: the offending records are dropped, the rest
+    // are ingested, and flush reports the error.
     let sink = Arc::new(MemorySink::new());
     let handle = EngineBuilder::new()
         .shards(2)
-        .stream(1, optwin_factory(200)(1))
+        .stream(1, optwin_spec(200).build().expect("valid spec"))
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .expect("valid engine");
     handle
         .submit(&[(1, 0.1), (99, 0.5), (1, 0.2)])
         .expect("submit itself succeeds");
-    assert_eq!(
-        handle.flush().expect_err("unknown stream must surface"),
-        EngineError::UnknownStream(99)
-    );
+    let err = handle.flush().expect_err("unknown stream must surface");
+    assert_eq!(err, EngineError::UnknownStream(99));
+    assert!(err.to_string().contains("no default spec"), "{err}");
     let stats = handle.stats().expect("engine running");
     assert_eq!(stats.streams, 1);
     assert_eq!(stats.elements, 2, "known-stream records are still ingested");
@@ -326,12 +195,12 @@ fn unknown_stream_handling_on_the_submit_path() {
 /// restored) and at runtime registration.
 #[test]
 fn duplicate_streams_are_rejected_everywhere() {
-    let factory = optwin_factory(100);
+    let detector = || optwin_spec(100).build().expect("valid spec");
     // Builder-level.
     let err = EngineBuilder::new()
         .shards(2)
-        .stream(5, factory(5))
-        .stream(5, factory(5))
+        .stream(5, detector())
+        .stream(5, detector())
         .build()
         .expect_err("duplicate pre-registration");
     assert_eq!(err, EngineError::DuplicateStream(5));
@@ -339,17 +208,17 @@ fn duplicate_streams_are_rejected_everywhere() {
     // Runtime registration against a pre-registered stream.
     let handle = EngineBuilder::new()
         .shards(2)
-        .stream(5, factory(5))
+        .stream(5, detector())
         .build()
         .expect("valid engine");
     assert_eq!(
         handle
-            .register_stream(5, factory(5))
+            .register_stream(5, detector())
             .expect_err("duplicate runtime registration"),
         EngineError::DuplicateStream(5)
     );
     handle
-        .register_stream(6, factory(6))
+        .register_stream(6, detector())
         .expect("new id is fine");
     handle.shutdown().expect("clean shutdown");
 
@@ -361,9 +230,8 @@ fn duplicate_streams_are_rejected_everywhere() {
     donor.shutdown().expect("clean shutdown");
     let err = EngineBuilder::new()
         .shards(2)
-        .factory(factory.clone())
         .restore(snapshot)
-        .stream(5, factory(5))
+        .stream(5, detector())
         .build()
         .expect_err("restored id collides with pre-registered id");
     assert_eq!(err, EngineError::DuplicateStream(5));
@@ -386,27 +254,21 @@ fn builder_rejects_degenerate_configurations() {
             .expect_err("no capacity"),
         EngineError::ZeroQueueCapacity
     );
-    // Restoring without a factory is refused.
+    // A default spec building a *different* detector kind than a spec-less
+    // entry was taken from is refused by name.
     let (donor, _sink) = optwin_engine(2, 100, None);
     donor.submit(&[(1, 0.5)]).expect("engine running");
     donor.flush().expect("no errors");
-    let snapshot = donor.snapshot().expect("snapshot-capable");
+    let snapshot = without_specs(donor.snapshot().expect("snapshot-capable"));
     donor.shutdown().expect("clean shutdown");
     let err = EngineBuilder::new()
         .shards(2)
-        .restore(snapshot.clone())
-        .build()
-        .expect_err("restore requires a factory");
-    assert!(matches!(err, EngineError::InvalidSnapshot(_)));
-    assert!(err.to_string().contains("factory"));
-    // A factory building a *different* detector kind is refused by name.
-    let err = EngineBuilder::new()
-        .shards(2)
-        .factory(|_| Box::new(optwin::Adwin::with_defaults()) as Box<dyn DriftDetector + Send>)
+        .default_spec("adwin".parse().expect("valid spec"))
         .restore(snapshot)
         .build()
         .expect_err("detector kind mismatch");
-    assert!(err.to_string().contains("OPTWIN"));
+    assert!(matches!(err, EngineError::InvalidSnapshot(_)));
+    assert!(err.to_string().contains("OPTWIN"), "{err}");
 }
 
 /// A custom detector without snapshot support, standing in for downstream
@@ -440,7 +302,7 @@ fn snapshot_unsupported_detectors_are_reported() {
     let sink = Arc::new(MemorySink::new());
     let handle = EngineBuilder::new()
         .shards(2)
-        .factory(|_| Box::new(Opaque { seen: 0 }) as Box<dyn DriftDetector + Send>)
+        .stream(3, Box::new(Opaque { seen: 0 }))
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .expect("valid engine");
@@ -600,11 +462,11 @@ fn spec_element(stream: u64, i: usize) -> f64 {
     }
 }
 
-/// The tentpole acceptance test: a heterogeneous fleet covering **all 8
-/// detector kinds** is assembled purely from specs, snapshotted mid-stream
-/// through `EngineHandle::snapshot()`, and restored through
-/// `EngineBuilder::restore()` with **no factory and no `register_stream`
-/// calls** — the v2 snapshot is self-describing — after which the restored
+/// A heterogeneous fleet covering **all 8 detector kinds** is assembled
+/// purely from specs, snapshotted mid-stream through
+/// `EngineHandle::snapshot()`, and restored through
+/// `EngineBuilder::restore()` with **no default spec and no
+/// `register_stream` calls** — the v2 snapshot is self-describing — after which the restored
 /// engine produces bit-exact identical remaining events.
 #[test]
 fn heterogeneous_spec_fleet_restores_without_any_factory() {
@@ -665,7 +527,7 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     );
 
     // Restore through JSON into a differently-sharded engine with NO
-    // factory, NO default spec, and NO stream registration of any kind.
+    // default spec and NO stream registration of any kind.
     let snapshot = EngineSnapshot::from_json(&snapshot.to_json()).expect("well-formed JSON");
     let restored_sink = Arc::new(MemorySink::new());
     let restored = EngineBuilder::new()
@@ -673,7 +535,7 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
         .sink(Arc::clone(&restored_sink) as Arc<dyn EventSink>)
         .restore(snapshot)
         .build()
-        .expect("self-describing snapshot needs no factory");
+        .expect("self-describing snapshot needs no default spec");
     // The restored fleet is still introspectable — specs survived the trip.
     for stream in 0..STREAMS {
         assert_eq!(
@@ -708,49 +570,69 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     );
 }
 
-/// v1 snapshots (and v2 snapshots of closure-factory streams, which embed
-/// no specs) still load — behind a factory, exactly as before the v2
-/// format.
-#[test]
-fn spec_less_snapshots_still_restore_behind_a_factory() {
-    let (donor, _sink) = optwin_engine(2, 200, None);
-    donor
-        .submit(&[(1, 0.1), (2, 0.2), (1, 0.3)])
-        .expect("engine running");
-    donor.flush().expect("no errors");
-    let snapshot = donor.snapshot().expect("snapshot-capable");
-    donor.shutdown().expect("clean shutdown");
-    // Closure-factory streams record no spec.
-    assert!(!snapshot.is_self_describing());
-    assert!(snapshot.streams.iter().all(|s| s.spec.is_none()));
-
-    // Downgrade the wire format to v1 (the v1 payload is the v3 payload
-    // minus the spec entries — already absent/null here — and the shard
-    // placements).
-    let mut downgraded = snapshot.clone();
-    downgraded.version = 1;
-    for stream in &mut downgraded.streams {
+/// `snapshot` as a spec-less v1 snapshot: the v1 payload is the v3 payload
+/// minus the per-stream specs and shard placements.
+fn without_specs(mut snapshot: EngineSnapshot) -> EngineSnapshot {
+    snapshot.version = 1;
+    for stream in &mut snapshot.streams {
+        stream.spec = None;
         stream.shard = None;
     }
-    let v1 = EngineSnapshot::from_json(&downgraded.to_json()).expect("v1 parses");
+    EngineSnapshot::from_json(&snapshot.to_json()).expect("v1 parses")
+}
+
+/// Spec-less snapshot entries (every v1 entry, and explicit-instance
+/// streams) restore through the builder's default spec and resume
+/// bit-exactly; with neither a default spec nor a filled-in entry spec the
+/// restore is refused, naming the stream.
+#[test]
+fn spec_less_snapshots_restore_through_default_spec() {
+    const CUT: usize = 4_100; // past stream 0's drift point, before the others'
+    let feed = |handle: &EngineHandle, from: usize, to: usize| {
+        let records: Vec<(u64, f64)> = (from..to)
+            .flat_map(|i| (0..4u64).map(move |stream| (stream, loss(stream, i))))
+            .collect();
+        handle.submit(&records).expect("engine running");
+        handle.flush().expect("no ingestion errors");
+    };
+    let (reference, reference_sink) = optwin_engine(2, 800, None);
+    feed(&reference, 0, 7_000);
+    let reference_events = canonical(reference_sink.drain());
+    reference.shutdown().expect("clean shutdown");
+
+    let (donor, donor_sink) = optwin_engine(2, 800, None);
+    feed(&donor, 0, CUT);
+    let early_events = donor_sink.drain();
+    let v1 = without_specs(donor.snapshot().expect("snapshot-capable"));
+    donor.shutdown().expect("clean shutdown");
     assert_eq!(v1.version, 1);
+    assert!(!v1.is_self_describing());
     assert!(!v1.records_placement());
 
-    // Without a factory the restore is refused, naming the problem.
+    // Neither a default spec nor a filled-in entry spec: refused.
     let err = EngineBuilder::new()
         .shards(2)
         .restore(v1.clone())
         .build()
-        .expect_err("spec-less restore requires a factory");
-    assert!(err.to_string().contains("spec"), "{err}");
-    assert!(err.to_string().contains("factory"), "{err}");
+        .expect_err("spec-less restore requires a spec");
+    assert!(matches!(err, EngineError::InvalidSnapshot(_)));
+    assert!(err.to_string().contains("stream 0"), "{err}");
+    assert!(err.to_string().contains("default spec"), "{err}");
 
-    // Behind a factory it restores fine and resumes.
-    let (restored, _restored_sink) = optwin_engine(3, 200, Some(v1));
+    // Behind a default spec it restores and resumes bit-exactly.
+    let (restored, restored_sink) = optwin_engine(3, 800, Some(v1));
     let stats = restored.stats().expect("engine running");
-    assert_eq!(stats.streams, 2);
-    assert_eq!(stats.elements, 3);
+    assert_eq!(stats.streams, 4);
+    assert_eq!(stats.elements, 4 * CUT as u64);
+    feed(&restored, CUT, 7_000);
+    let mut stitched = early_events;
+    stitched.extend(restored_sink.drain());
     restored.shutdown().expect("clean shutdown");
+    assert_eq!(canonical(stitched), reference_events);
+    assert!(
+        reference_events.iter().any(|e| e.seq >= CUT as u64),
+        "the workload must drift after the cut"
+    );
 }
 
 /// A default spec auto-registers unknown streams (recording the spec), and
@@ -765,7 +647,6 @@ fn default_spec_and_register_stream_spec() {
         .sink(Arc::clone(&sink) as Arc<dyn EventSink>)
         .build()
         .expect("valid engine");
-    assert!(handle.has_factory());
 
     // Auto-registration on first sight records the default spec.
     handle
@@ -839,7 +720,7 @@ mod snapshot_property {
     }
 
     /// An 8-kind fleet engine: freshly spec-registered, or restored from a
-    /// snapshot with no factory (the snapshot is self-describing).
+    /// snapshot with no default spec (the snapshot is self-describing).
     fn fleet_engine(
         shards: usize,
         restore: Option<EngineSnapshot>,
