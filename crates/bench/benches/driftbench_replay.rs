@@ -2,6 +2,10 @@
 //! Zipf-skewed multi-stream fleet through the sharded engine, next to a
 //! plain sequential `submit` of the same records.
 //!
+//! Each bench function builds its engine once, outside the timed region;
+//! an iteration replays the whole fleet into it and ends with a `flush()`
+//! barrier, so the numbers price ingestion, not engine spawn and join.
+//!
 //! The interleaving itself is pure bookkeeping (weight table + burst
 //! slicing), so skewed replay must track the sequential feed closely — the
 //! numbers in `BENCH_driftbench.json` price exactly that overhead, plus the
@@ -52,26 +56,27 @@ fn bench_replay(c: &mut Criterion) {
     group.sample_size(10);
 
     for (label, exponent) in [("zipf_1.1", 1.1), ("uniform", 0.0)] {
+        let sink = Arc::new(MemorySink::new());
+        let handle = engine(&sink);
+        let config = ReplayConfig {
+            zipf_exponent: exponent,
+            ..ReplayConfig::with_seed(9)
+        };
         group.bench_function(label, |b| {
             b.iter(|| {
-                let sink = Arc::new(MemorySink::new());
-                let handle = engine(&sink);
-                let config = ReplayConfig {
-                    zipf_exponent: exponent,
-                    ..ReplayConfig::with_seed(9)
-                };
                 let report = replay(&handle, &sources, &config).expect("engine running");
-                handle.shutdown().expect("clean drain");
+                handle.flush().expect("no ingestion errors");
                 black_box((report.records, sink.drain().len()))
             });
         });
+        handle.shutdown().expect("clean drain");
     }
 
+    let sink = Arc::new(MemorySink::new());
+    let handle = engine(&sink);
+    let mut records = Vec::with_capacity(256);
     group.bench_function("sequential_submit", |b| {
         b.iter(|| {
-            let sink = Arc::new(MemorySink::new());
-            let handle = engine(&sink);
-            let mut records = Vec::with_capacity(256);
             for (id, values) in &sources {
                 for chunk in values.chunks(256) {
                     records.clear();
@@ -79,10 +84,11 @@ fn bench_replay(c: &mut Criterion) {
                     handle.submit(&records).expect("engine running");
                 }
             }
-            handle.shutdown().expect("clean drain");
+            handle.flush().expect("no ingestion errors");
             black_box(sink.drain().len())
         });
     });
+    handle.shutdown().expect("clean drain");
     group.finish();
 
     // Scenario-generation cost of the full adversarial catalogue — the other

@@ -401,67 +401,26 @@ impl DriftDetector for Adwin {
     /// buckets on restore: `total_variance` carries the rounding history of
     /// every incremental update, and bit-exact resumption requires restoring
     /// exactly that value.
+    ///
+    /// The bucket rows are stored **columnar** — per-row lengths plus one
+    /// blob each for the flattened counts (varints), sums and variances — so
+    /// the integral columns compress far below their JSON forms. (Snapshots
+    /// from wire formats v1–v3 hold nested `[[count, sum, variance], ..]`
+    /// rows instead; `restore_state` reads both.)
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// [`Adwin::snapshot_state`] with an explicit layout for the bucket
-    /// rows. The JSON layout keeps the historical nested
-    /// `[[count, sum, variance], ..]` arrays; the binary layout stores the
-    /// same buckets **columnar** — per-row lengths plus one blob each for
-    /// the flattened counts (varints), sums and variances — so the integral
-    /// columns compress far below their JSON forms.
-    fn snapshot_state_encoded(
-        &self,
-        encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
-        use optwin_core::snapshot::{f64_seq_value, u64_seq_value};
+        use optwin_core::snapshot::{encode_f64_seq, encode_u64_seq};
         use serde::Serialize as _;
-        let rows = match encoding {
-            optwin_core::SnapshotEncoding::Json => serde::Value::Array(
-                self.rows
-                    .iter()
-                    .map(|row| {
-                        serde::Value::Array(
-                            row.iter()
-                                .map(|b| {
-                                    serde::Value::Array(vec![
-                                        serde::Value::UInt(b.count),
-                                        serde::Value::Float(b.sum),
-                                        serde::Value::Float(b.variance),
-                                    ])
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-            optwin_core::SnapshotEncoding::Binary => {
-                let lens: Vec<u64> = self.rows.iter().map(|row| row.len() as u64).collect();
-                let buckets = self.rows.iter().flatten();
-                let counts: Vec<u64> = buckets.clone().map(|b| b.count).collect();
-                let sums: Vec<f64> = buckets.clone().map(|b| b.sum).collect();
-                let variances: Vec<f64> = buckets.map(|b| b.variance).collect();
-                serde::Value::Object(vec![
-                    (
-                        "row_lens".to_string(),
-                        u64_seq_value(optwin_core::SnapshotEncoding::Binary, &lens),
-                    ),
-                    (
-                        "counts".to_string(),
-                        u64_seq_value(optwin_core::SnapshotEncoding::Binary, &counts),
-                    ),
-                    (
-                        "sums".to_string(),
-                        f64_seq_value(optwin_core::SnapshotEncoding::Binary, &sums),
-                    ),
-                    (
-                        "variances".to_string(),
-                        f64_seq_value(optwin_core::SnapshotEncoding::Binary, &variances),
-                    ),
-                ])
-            }
-        };
+        let lens: Vec<u64> = self.rows.iter().map(|row| row.len() as u64).collect();
+        let buckets = self.rows.iter().flatten();
+        let counts: Vec<u64> = buckets.clone().map(|b| b.count).collect();
+        let sums: Vec<f64> = buckets.clone().map(|b| b.sum).collect();
+        let variances: Vec<f64> = buckets.map(|b| b.variance).collect();
+        let rows = serde::Value::Object(vec![
+            ("row_lens".to_string(), encode_u64_seq(&lens)),
+            ("counts".to_string(), encode_u64_seq(&counts)),
+            ("sums".to_string(), encode_f64_seq(&sums)),
+            ("variances".to_string(), encode_f64_seq(&variances)),
+        ]);
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
             ("rows".to_string(), rows),
@@ -902,14 +861,12 @@ mod tests {
     }
 
     #[test]
-    fn binary_snapshot_is_columnar_and_validated() {
+    fn snapshot_is_columnar_and_validated() {
         let mut donor = Adwin::with_defaults();
         for i in 0..2_000u64 {
             donor.add_element(bernoulli(i, 0.3));
         }
-        let state = donor
-            .snapshot_state_encoded(optwin_core::SnapshotEncoding::Binary)
-            .unwrap();
+        let state = donor.snapshot_state().unwrap();
         // The bucket rows become a columnar object of blob strings.
         let rows = state.get("rows").expect("rows present");
         assert!(rows.as_object().is_some(), "columnar layout");

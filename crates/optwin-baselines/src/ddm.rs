@@ -172,15 +172,6 @@ impl DriftDetector for Ddm {
     /// recorded `p_min`/`s_min` minimums verbatim, so the restored detector
     /// evaluates exactly the same thresholds the original would have.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// DDM's state is a handful of scalars — there is no sequence payload to
-    /// compress, so both encodings produce the identical value tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),

@@ -321,15 +321,6 @@ impl DriftDetector for Ecdd {
     /// *not* serialized: it is a pure, deterministic function of the
     /// configuration and refills identically on demand.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// ECDD's state is a handful of scalars — there is no sequence payload
-    /// to compress, so both encodings produce the identical value tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         let (count, mean, z, pow_2t) = self.ewma.to_raw();
         Some(serde::Value::Object(vec![

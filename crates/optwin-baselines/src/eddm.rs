@@ -195,15 +195,6 @@ impl DriftDetector for Eddm {
     /// Serializes the raw error-distance accumulators (Welford mean/M2, last
     /// error position, recorded maximum) verbatim for bit-exact resumption.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// EDDM's state is a handful of scalars — there is no sequence payload
-    /// to compress, so both encodings produce the identical value tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),

@@ -97,36 +97,26 @@ pub(crate) mod test_util {
     }
 
     /// Asserts the snapshot contract for a detector: snapshotting at each of
-    /// `cuts` — in **both** the JSON and the compact binary layout — and
-    /// restoring into a freshly built instance yields *identical* decisions
-    /// and counters for the remaining stream (mirroring the OPTWIN
+    /// `cuts` — restoring both the written v4 layout and its
+    /// [`expand_blobs`](optwin_core::snapshot::expand_blobs) array form (the
+    /// v1–v3 layout) into a freshly built instance — yields *identical*
+    /// decisions and counters for the remaining stream (mirroring the OPTWIN
     /// equivalence test in `optwin-core`).
     pub(crate) fn assert_snapshot_equivalence<D: DriftDetector>(
         build: impl Fn() -> D,
         stream: &[f64],
         cuts: &[usize],
     ) {
-        use optwin_core::SnapshotEncoding;
         for &cut in cuts {
             assert!(cut <= stream.len(), "cut {cut} beyond stream");
             let mut original = build();
             original.add_batch(&stream[..cut]);
-            let json_state = original
+            let v4_state = original
                 .snapshot_state()
                 .unwrap_or_else(|| panic!("{} must support snapshots", original.name()));
-            assert_eq!(
-                Some(&json_state),
-                original
-                    .snapshot_state_encoded(SnapshotEncoding::Json)
-                    .as_ref(),
-                "{}: snapshot_state must be the JSON-encoded snapshot",
-                original.name()
-            );
-            let binary_state = original
-                .snapshot_state_encoded(SnapshotEncoding::Binary)
-                .unwrap_or_else(|| panic!("{} must support binary snapshots", original.name()));
+            let expanded_state = optwin_core::snapshot::expand_blobs(&v4_state);
 
-            for (layout, state) in [("json", &json_state), ("binary", &binary_state)] {
+            for (layout, state) in [("v4", &v4_state), ("expanded", &expanded_state)] {
                 let mut continued = build();
                 continued.add_batch(&stream[..cut]);
                 let mut restored = build();

@@ -152,16 +152,6 @@ impl DriftDetector for PageHinkley {
     /// verbatim (the minimum starts at `f64::MAX`, which is finite and
     /// round-trips exactly).
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(optwin_core::SnapshotEncoding::Json)
-    }
-
-    /// Page–Hinkley's state is a handful of scalars — there is no sequence
-    /// payload to compress, so both encodings produce the identical value
-    /// tree.
-    fn snapshot_state_encoded(
-        &self,
-        _encoding: optwin_core::SnapshotEncoding,
-    ) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),

@@ -545,16 +545,10 @@ impl DriftDetector for Optwin {
     /// [`SplitWindow::from_state`]), the binary-content counter, and the
     /// lifetime counters. The immutable configuration and the cut table are
     /// *not* serialized; restoration happens into a detector constructed with
-    /// the same configuration (`w_max` is embedded for validation).
+    /// the same configuration (`w_max` is embedded for validation). The
+    /// (potentially `w_max`-sized) window is embedded as a compact binary
+    /// blob.
     fn snapshot_state(&self) -> Option<serde::Value> {
-        self.snapshot_state_encoded(crate::SnapshotEncoding::Json)
-    }
-
-    /// [`Optwin::snapshot_state`] with an explicit window layout: the
-    /// (potentially `w_max`-sized) window serializes as a JSON array or a
-    /// compact binary blob; everything else is scalar and identical in both
-    /// layouts.
-    fn snapshot_state_encoded(&self, encoding: crate::SnapshotEncoding) -> Option<serde::Value> {
         use serde::Serialize as _;
         Some(serde::Value::Object(vec![
             ("version".to_string(), serde::Value::UInt(SNAPSHOT_VERSION)),
@@ -564,7 +558,7 @@ impl DriftDetector for Optwin {
             ),
             (
                 "window".to_string(),
-                crate::snapshot::f64_seq_value(encoding, &self.window.to_vec()),
+                crate::snapshot::encode_f64_seq(&self.window.to_vec()),
             ),
             (
                 "split".to_string(),
@@ -1009,23 +1003,25 @@ mod tests {
             .collect();
 
         // Snapshot at several cut points, including right after a drift reset
-        // (~2_100) and mid-saturation, in both window layouts.
-        for encoding in [
-            crate::SnapshotEncoding::Json,
-            crate::SnapshotEncoding::Binary,
-        ] {
+        // (~2_100) and mid-saturation, restoring both the written v4 layout
+        // and its array expansion (the v1–v3 layout).
+        for layout in ["v4", "expanded"] {
             for &cut in &[0usize, 17, 1_000, 2_100, 4_500] {
                 let mut original = Optwin::new(small_config(0.5)).unwrap();
                 original.add_batch(&stream[..cut]);
-                let state = original
-                    .snapshot_state_encoded(encoding)
+                let written = original
+                    .snapshot_state()
                     .expect("OPTWIN supports snapshots");
-                if encoding == crate::SnapshotEncoding::Binary && cut > 0 {
+                if cut > 0 {
                     assert!(
-                        matches!(state.get("window"), Some(serde::Value::Str(_))),
-                        "binary layout embeds the window as a blob string"
+                        matches!(written.get("window"), Some(serde::Value::Str(_))),
+                        "snapshots embed the window as a blob string"
                     );
                 }
+                let state = match layout {
+                    "v4" => written,
+                    _ => crate::snapshot::expand_blobs(&written),
+                };
 
                 // Round-trip the state value through the crate's own accessors
                 // to mimic what an engine-level persistence layer does.
@@ -1039,7 +1035,7 @@ mod tests {
                 let rest = &stream[cut..];
                 let a = original.add_batch(rest);
                 let b = restored.add_batch(rest);
-                assert_eq!(a, b, "divergence after restoring at {cut} ({encoding:?})");
+                assert_eq!(a, b, "divergence after restoring at {cut} ({layout})");
                 assert_eq!(original.drifts_detected(), restored.drifts_detected());
                 assert_eq!(original.warnings_detected(), restored.warnings_detected());
                 assert_eq!(original.last_status(), restored.last_status());

@@ -16,9 +16,9 @@
 //! Detector windows (OPTWIN's [`crate::SplitWindow`], the KSWIN and STEPD
 //! buffers, ADWIN's bucket rows) dominate snapshot size: serialized as JSON
 //! number arrays they cost ~4–20 bytes per element, which balloons
-//! million-stream engine snapshots at large `w_max`. The
-//! [`SnapshotEncoding::Binary`] layout instead embeds each sequence as a
-//! base64 string wrapping a small binary frame:
+//! million-stream engine snapshots at large `w_max`. Every snapshot writer
+//! therefore embeds each sequence as a base64 string wrapping a small
+//! binary frame (the wire-v4 layout):
 //!
 //! ```text
 //! magic "OWB4" · kind u8 · scale u8 · count u32 LE · checksum u32 LE · payload
@@ -44,8 +44,9 @@
 //! checksum, and reproduces the original values **bit-exactly** (fixed-point
 //! eligibility is proven by round-tripping each value at encode time, so
 //! decode performs the identical IEEE operations). The `*_seq_field` readers
-//! accept both layouts — a JSON array (wire formats v1–v3) or a blob string
-//! (v4) — so every older snapshot keeps restoring unchanged.
+//! accept both layouts — a JSON array (wire formats v1–v3, read-only) or a
+//! blob string (v4) — so every older snapshot keeps restoring unchanged;
+//! [`expand_blobs`] turns a v4 value tree back into the array layout.
 
 use crate::CoreError;
 
@@ -118,23 +119,6 @@ pub fn check_version(
         )));
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot encoding selection
-// ---------------------------------------------------------------------------
-
-/// How sequence-shaped detector state (windows, bucket rows) is laid out in
-/// a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotEncoding {
-    /// Plain JSON number arrays — human-readable, wire formats v1–v3.
-    #[default]
-    Json,
-    /// Compact base64-embedded binary blobs (see the module docs) — wire
-    /// format v4. Restores remain bit-exact either way; `restore_state`
-    /// accepts both layouts transparently.
-    Binary,
 }
 
 // ---------------------------------------------------------------------------
@@ -644,46 +628,44 @@ fn u64s_from_blob(text: &str) -> Result<Vec<u64>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding-aware sequence values and dual-layout field readers
+// Array-layout expansion
 // ---------------------------------------------------------------------------
 
-/// An `f64` sequence as a snapshot value: a JSON array under
-/// [`SnapshotEncoding::Json`], a binary blob string under
-/// [`SnapshotEncoding::Binary`].
+/// Rewrites every string in `value` that unframes as a valid window blob
+/// into the plain JSON array it encodes — `f64` elements for the raw,
+/// fixed-delta and bit-packed-0/1 codecs, `u64` for varints, `bool` for
+/// bit-packed bools — recursing through objects and arrays. Every other
+/// value is kept as it is.
+///
+/// This produces the array layout of wire formats v1–v3 from a v4 value
+/// tree, which the `*_seq_field` readers accept just the same; tests use it
+/// to keep the legacy read path exercised and to size v4 against it.
 #[must_use]
-pub fn f64_seq_value(encoding: SnapshotEncoding, values: &[f64]) -> serde::Value {
-    match encoding {
-        SnapshotEncoding::Json => {
-            use serde::Serialize as _;
-            values.to_value()
+pub fn expand_blobs(value: &serde::Value) -> serde::Value {
+    use serde::Serialize as _;
+    match value {
+        serde::Value::Str(text) => {
+            let expanded = match unframe(text).map(|blob| blob.kind) {
+                Ok(KIND_VARINT_U64) => u64s_from_blob(text).map(|v| v.to_value()),
+                Ok(KIND_BITS_BOOL) => bools_from_blob(text).map(|v| v.to_value()),
+                _ => f64s_from_blob(text).map(|v| v.to_value()),
+            };
+            expanded.unwrap_or_else(|_| value.clone())
         }
-        SnapshotEncoding::Binary => encode_f64_seq(values),
+        serde::Value::Array(items) => serde::Value::Array(items.iter().map(expand_blobs).collect()),
+        serde::Value::Object(fields) => serde::Value::Object(
+            fields
+                .iter()
+                .map(|(key, field)| (key.clone(), expand_blobs(field)))
+                .collect(),
+        ),
+        other => other.clone(),
     }
 }
 
-/// A `bool` sequence as a snapshot value (see [`f64_seq_value`]).
-#[must_use]
-pub fn bool_seq_value(encoding: SnapshotEncoding, values: &[bool]) -> serde::Value {
-    match encoding {
-        SnapshotEncoding::Json => {
-            use serde::Serialize as _;
-            values.to_value()
-        }
-        SnapshotEncoding::Binary => encode_bool_seq(values),
-    }
-}
-
-/// A `u64` sequence as a snapshot value (see [`f64_seq_value`]).
-#[must_use]
-pub fn u64_seq_value(encoding: SnapshotEncoding, values: &[u64]) -> serde::Value {
-    match encoding {
-        SnapshotEncoding::Json => {
-            use serde::Serialize as _;
-            values.to_value()
-        }
-        SnapshotEncoding::Binary => encode_u64_seq(values),
-    }
-}
+// ---------------------------------------------------------------------------
+// Dual-layout field readers
+// ---------------------------------------------------------------------------
 
 /// Reads an `f64` sequence stored either as a JSON number array (wire
 /// formats v1–v3) or as a binary blob string (v4).
@@ -1010,24 +992,39 @@ mod tests {
     }
 
     #[test]
-    fn seq_values_honor_the_encoding() {
-        let values = vec![0.5, 0.25];
-        assert!(matches!(
-            f64_seq_value(SnapshotEncoding::Json, &values),
-            serde::Value::Array(_)
-        ));
-        assert!(matches!(
-            f64_seq_value(SnapshotEncoding::Binary, &values),
-            serde::Value::Str(_)
-        ));
-        assert!(matches!(
-            bool_seq_value(SnapshotEncoding::Json, &[true]),
-            serde::Value::Array(_)
-        ));
-        assert!(matches!(
-            u64_seq_value(SnapshotEncoding::Binary, &[1]),
-            serde::Value::Str(_)
-        ));
+    fn expand_blobs_restores_the_array_layout() {
+        use serde::Serialize as _;
+        let floats = vec![0.5, 1.0 / 3.0, -2.25];
+        let binary = vec![0.0, 1.0, 1.0];
+        let bools = vec![true, false, true];
+        let ints: Vec<u64> = vec![0, 300, u64::MAX];
+        let nested = serde::Value::Object(vec![
+            ("floats".to_string(), encode_f64_seq(&floats)),
+            (
+                "rows".to_string(),
+                serde::Value::Array(vec![encode_f64_seq(&binary), encode_u64_seq(&ints)]),
+            ),
+            ("bools".to_string(), encode_bool_seq(&bools)),
+            (
+                "label".to_string(),
+                serde::Value::Str("OWB4 but no blob".to_string()),
+            ),
+            ("count".to_string(), serde::Value::UInt(7)),
+        ]);
+        let expected = serde::Value::Object(vec![
+            ("floats".to_string(), floats.to_value()),
+            (
+                "rows".to_string(),
+                serde::Value::Array(vec![binary.to_value(), ints.to_value()]),
+            ),
+            ("bools".to_string(), bools.to_value()),
+            (
+                "label".to_string(),
+                serde::Value::Str("OWB4 but no blob".to_string()),
+            ),
+            ("count".to_string(), serde::Value::UInt(7)),
+        ]);
+        assert_eq!(expand_blobs(&nested), expected);
     }
 
     /// Every corruption class the fuzzing satellite names must surface as a

@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::{DriftDetector, DriftStatus, SnapshotEncoding};
+use optwin_core::{DriftDetector, DriftStatus};
 
 use crate::checkpoint::{
     CheckpointConfig, CheckpointReport, CheckpointState, Durability, WalWriter,
@@ -37,7 +37,7 @@ use crate::checkpoint::{
 use crate::engine::{EngineError, StreamSnapshot};
 use crate::event::DriftEvent;
 use crate::hibernate::{DetectorSlot, HibernatedDetector, HibernationPolicy};
-use crate::persist::{wire_version, EngineSnapshot, StreamStateSnapshot};
+use crate::persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 use crate::router::Router;
 use crate::sink::EventSink;
 
@@ -302,10 +302,8 @@ enum ShardMsg {
     /// behind the auto-rebalance trigger, which runs on **every** flush
     /// (barrier).
     LoadProbe { ack: Sender<(u64, usize)> },
-    /// Serialize per-stream detector state in the given sequence layout
-    /// (barrier).
+    /// Serialize per-stream detector state (barrier).
     Snapshot {
-        encoding: SnapshotEncoding,
         ack: Sender<Result<Vec<StreamStateSnapshot>, EngineError>>,
     },
     /// Remove the named streams' [`StreamState`]s and hand them back — the
@@ -696,25 +694,21 @@ impl ShardState {
 
     /// Serializes one stream's persisted entry. A sleeping stream embeds
     /// its blob verbatim — snapshotting a mostly-cold fleet never
-    /// materializes its detectors. The blob is always wire-v4
-    /// binary-encoded state, which every restore path accepts regardless of
-    /// the requested encoding.
-    fn snapshot_entry(
-        &self,
-        stream: u64,
-        encoding: SnapshotEncoding,
-    ) -> Result<StreamStateSnapshot, EngineError> {
+    /// materializes its detectors; the blob is the same wire-v4 state a
+    /// live detector writes.
+    fn snapshot_entry(&self, stream: u64) -> Result<StreamStateSnapshot, EngineError> {
         let state = &self.streams[&stream];
-        let detector_state =
-            match &state.slot {
-                DetectorSlot::Live(detector) => detector
-                    .snapshot_state_encoded(encoding)
+        let detector_state = match &state.slot {
+            DetectorSlot::Live(detector) => {
+                detector
+                    .snapshot_state()
                     .ok_or_else(|| EngineError::SnapshotUnsupported {
                         stream,
                         detector: detector.name().to_string(),
-                    })?,
-                DetectorSlot::Hibernated(sleeper) => sleeper.state_value(),
-            };
+                    })?
+            }
+            DetectorSlot::Hibernated(sleeper) => sleeper.state_value(),
+        };
         Ok(StreamStateSnapshot {
             stream,
             seq: state.seq,
@@ -727,14 +721,11 @@ impl ShardState {
         })
     }
 
-    fn snapshot(
-        &self,
-        encoding: SnapshotEncoding,
-    ) -> Result<Vec<StreamStateSnapshot>, EngineError> {
+    fn snapshot(&self) -> Result<Vec<StreamStateSnapshot>, EngineError> {
         let mut ids: Vec<u64> = self.streams.keys().copied().collect();
         ids.sort_unstable();
         ids.into_iter()
-            .map(|stream| self.snapshot_entry(stream, encoding))
+            .map(|stream| self.snapshot_entry(stream))
             .collect()
     }
 
@@ -775,7 +766,7 @@ impl ShardState {
         ids.sort_unstable();
         let entries = ids
             .iter()
-            .map(|&stream| self.snapshot_entry(stream, SnapshotEncoding::Binary))
+            .map(|&stream| self.snapshot_entry(stream))
             .collect::<Result<Vec<_>, _>>()?;
         for stream in ids {
             self.streams.get_mut(&stream).expect("listed above").dirty = false;
@@ -913,8 +904,8 @@ fn worker_loop(
                 let load: u64 = shard.streams.values().map(|s| s.seq).sum();
                 let _ = ack.send((load, shard.streams.len()));
             }
-            ShardMsg::Snapshot { encoding, ack } => {
-                let _ = ack.send(shard.snapshot(encoding));
+            ShardMsg::Snapshot { ack } => {
+                let _ = ack.send(shard.snapshot());
             }
             ShardMsg::Extract { streams, ack } => {
                 let mut extracted = Vec::with_capacity(streams.len());
@@ -965,11 +956,6 @@ struct HandleShared {
     workers: Mutex<Vec<JoinHandle<()>>>,
     emit_warnings: bool,
     queue_capacity: usize,
-    /// The sequence layout [`EngineHandle::snapshot`] writes —
-    /// [`SnapshotEncoding::Json`] (wire v3) unless the builder opted into
-    /// compact binary (wire v4) via
-    /// [`crate::EngineBuilder::snapshot_encoding`].
-    snapshot_encoding: SnapshotEncoding,
     /// When set, [`EngineHandle::flush`] triggers a
     /// [`RebalancePolicy::Records`] rebalance whenever the shard record-load
     /// imbalance (`max / mean`) exceeds this threshold.
@@ -997,7 +983,7 @@ struct HandleShared {
 ///
 /// Queueing and barrier semantics: `submit` blocks on a full shard queue
 /// while [`EngineHandle::try_submit`] fails fast; [`EngineHandle::flush`],
-/// the query methods and [`EngineHandle::snapshot`] ride the same FIFO
+/// the query methods and [`EngineHandle::snapshot_compact`] ride the same FIFO
 /// channels as the records, so each acts as a barrier for everything this
 /// thread submitted before it; [`EngineHandle::shutdown`] additionally
 /// drains the queues and joins the workers.
@@ -1032,7 +1018,7 @@ impl std::fmt::Debug for EngineHandle {
 /// [`crate::EngineBuilder::build`] after validation. `initial_streams` is
 /// the per-shard placement of restored and pre-registered streams, one map
 /// per shard; it seeds the routing table, so non-modulo placements (a
-/// restored v3 snapshot) stick.
+/// restored v3+ snapshot) stick.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_engine(
     emit_warnings: bool,
@@ -1041,7 +1027,6 @@ pub(crate) fn spawn_engine(
     sinks: Vec<Arc<dyn EventSink>>,
     initial_streams: Vec<HashMap<u64, StreamState>>,
     auto_rebalance_threshold: Option<f64>,
-    snapshot_encoding: SnapshotEncoding,
     hibernation: Option<HibernationPolicy>,
     checkpoint: Option<CheckpointConfig>,
 ) -> EngineHandle {
@@ -1108,7 +1093,6 @@ pub(crate) fn spawn_engine(
             workers: Mutex::new(workers),
             emit_warnings,
             queue_capacity,
-            snapshot_encoding,
             auto_rebalance_threshold,
             futile_auto_rebalance: Mutex::new(None),
             checkpoint: checkpoint.map(|config| Mutex::new(CheckpointState::new(config))),
@@ -1140,7 +1124,7 @@ impl EngineHandle {
     }
 
     /// `true` when `stream` has an explicit routing pin (placed by a
-    /// rebalance or a restored v3 snapshot) overriding the `id % shards`
+    /// rebalance or a restored v3+ snapshot) overriding the `id % shards`
     /// default.
     #[must_use]
     pub fn is_rerouted(&self, stream: u64) -> bool {
@@ -1252,7 +1236,7 @@ impl EngineHandle {
     /// This is the escape hatch for detector types the declarative layer
     /// does not know about. The stream records **no [`DetectorSpec`]**:
     /// [`EngineHandle::stream_spec`] reports `None` for it, and an
-    /// [`EngineHandle::snapshot`] containing it is not self-describing —
+    /// [`EngineHandle::snapshot_compact`] containing it is not self-describing —
     /// restoring it needs a [`crate::EngineBuilder::default_spec`] or a
     /// [`crate::StreamStateSnapshot::spec`] filled in before
     /// [`crate::EngineBuilder::restore`].
@@ -1275,7 +1259,7 @@ impl EngineHandle {
     /// Registers a stream declaratively: validates `spec`, builds its
     /// detector, and records the spec on the stream — the canonical
     /// registration path. Spec-registered streams are introspectable via
-    /// [`EngineHandle::stream_spec`] and make [`EngineHandle::snapshot`]
+    /// [`EngineHandle::stream_spec`] and make [`EngineHandle::snapshot_compact`]
     /// self-describing (restorable with zero caller-side factories).
     ///
     /// # Errors
@@ -1824,22 +1808,21 @@ impl EngineHandle {
         result
     }
 
-    /// Serializes the state of every stream into an [`EngineSnapshot`], as
-    /// a barrier: the snapshot reflects every record submitted by this
-    /// thread before the call. Restore it with
+    /// Serializes the state of every stream into a wire-v4
+    /// [`EngineSnapshot`], as a barrier: the snapshot reflects every record
+    /// submitted by this thread before the call. Restore it with
     /// [`crate::EngineBuilder::restore`] — with **no default spec needed** when
     /// every stream was registered through a [`DetectorSpec`] (the snapshot
     /// then embeds `{spec, state}` per stream; see
-    /// [`EngineSnapshot::is_self_describing`]). Wire format v3 additionally
-    /// records each stream's **shard placement**, so a restore reproduces a
-    /// rebalanced (tuned) routing table instead of resetting to modulo.
+    /// [`EngineSnapshot::is_self_describing`]). Each entry also records the
+    /// stream's **shard placement**, so a restore reproduces a rebalanced
+    /// (tuned) routing table instead of resetting to modulo.
     ///
-    /// Writes the layout configured at build time
-    /// ([`crate::EngineBuilder::snapshot_encoding`], default: v3 JSON
-    /// arrays); [`EngineHandle::snapshot_compact`] always writes the v4
-    /// compact binary layout. All 8 shipped detector kinds (OPTWIN and
-    /// every baseline) implement state serialization with bit-exact
-    /// resumption, in both layouts.
+    /// Detector windows and bucket rows are embedded as compact base64
+    /// binary blobs (bit-packed / fixed-point-delta / raw frames, whichever
+    /// is smallest per sequence — see [`optwin_core::snapshot`]) instead of
+    /// JSON number arrays. All 8 shipped detector kinds (OPTWIN and every
+    /// baseline) implement state serialization with bit-exact resumption.
     ///
     /// # Errors
     ///
@@ -1847,38 +1830,14 @@ impl EngineHandle {
     /// *custom* detector that does not implement
     /// [`optwin_core::DriftDetector::snapshot_state`], or
     /// [`EngineError::ChannelClosed`] when the engine has shut down.
-    pub fn snapshot(&self) -> Result<EngineSnapshot, EngineError> {
-        self.snapshot_with(self.shared.snapshot_encoding)
-    }
-
-    /// [`EngineHandle::snapshot`] in the **v4 compact binary** layout:
-    /// detector windows and bucket rows are embedded as base64 binary blobs
-    /// (bit-packed / fixed-point-delta / raw frames, whichever is smallest
-    /// per sequence — see [`optwin_core::snapshot`]) instead of JSON number
-    /// arrays. At the paper's large-`w_max` OPTWIN configurations this
-    /// shrinks fleet snapshots by several ×; restores remain bit-exact.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineHandle::snapshot`].
     pub fn snapshot_compact(&self) -> Result<EngineSnapshot, EngineError> {
-        self.snapshot_with(SnapshotEncoding::Binary)
-    }
-
-    /// [`EngineHandle::snapshot`] with an explicit sequence layout (the
-    /// wire version follows it: v3 for JSON, v4 for binary).
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineHandle::snapshot`].
-    pub fn snapshot_with(&self, encoding: SnapshotEncoding) -> Result<EngineSnapshot, EngineError> {
         let mut acks = Vec::with_capacity(self.senders.len());
         {
             let _router = self.shared.router.read();
             for sender in &self.senders {
                 let (ack, response) = channel();
                 sender
-                    .send(ShardMsg::Snapshot { encoding, ack })
+                    .send(ShardMsg::Snapshot { ack })
                     .map_err(|_| EngineError::ChannelClosed)?;
                 acks.push(response);
             }
@@ -1889,7 +1848,7 @@ impl EngineHandle {
         }
         streams.sort_unstable_by_key(|s| s.stream);
         Ok(EngineSnapshot {
-            version: wire_version(encoding),
+            version: ENGINE_SNAPSHOT_VERSION,
             shards: self.senders.len(),
             emit_warnings: self.shared.emit_warnings,
             streams,

@@ -9,9 +9,8 @@
 //! observes a stream ingesting nothing for
 //! [`HibernationPolicy::cold_after_flushes`] consecutive flush barriers
 //! serializes the detector's complete mutable state through the wire-v4
-//! compact binary codec
-//! ([`DriftDetector::snapshot_state_encoded`]
-//! with [`SnapshotEncoding::Binary`]), frees the live detector, and keeps
+//! compact binary codec ([`DriftDetector::snapshot_state`]), frees the live
+//! detector, and keeps
 //! only the blob plus a few cached counters. The next record for the stream
 //! rehydrates it transparently: a fresh detector is built from the stream's
 //! [`DetectorSpec`] and the blob is restored into it before the record is
@@ -43,7 +42,7 @@
 //! snapshot restore would.
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::{DriftDetector, SnapshotEncoding};
+use optwin_core::DriftDetector;
 
 use crate::engine::EngineError;
 
@@ -86,7 +85,7 @@ impl Default for HibernationPolicy {
 /// A sleeping detector: its complete mutable state compressed to a compact
 /// blob, plus the few counters queries need answered without waking it.
 pub(crate) struct HibernatedDetector {
-    /// The detector's wire-v4 ([`SnapshotEncoding::Binary`]) state value —
+    /// The detector's wire-v4 state value —
     /// windows and bucket rows ride as base64 binary frames inside the
     /// tree, so the blob is within a small factor of the raw state entropy
     /// rather than of the live buffer capacity. Held as the value tree, not
@@ -107,7 +106,7 @@ impl HibernatedDetector {
     /// Compresses `detector`'s state, or `None` when the detector does not
     /// support state snapshots (custom detectors stay resident).
     pub(crate) fn capture(detector: &dyn DriftDetector) -> Option<Self> {
-        let blob = detector.snapshot_state_encoded(SnapshotEncoding::Binary)?;
+        let blob = detector.snapshot_state()?;
         Some(Self {
             blob,
             name: detector.name(),

@@ -36,16 +36,17 @@
 //!   (records, queue occupancy, batch-latency EWMA) behind the decision,
 //!   and [`EngineBuilder::auto_rebalance`] triggers the whole cycle
 //!   automatically at flush barriers past an imbalance threshold.
-//! * [`EngineHandle::snapshot`] serializes every stream's detector state
-//!   into an [`EngineSnapshot`]; [`EngineBuilder::restore`] rebuilds a
-//!   fresh engine that makes **identical subsequent decisions**, so a
-//!   restarted process resumes mid-stream. Snapshots of spec-registered
-//!   streams embed `{spec, state, shard}` (wire format v3) and restore
-//!   with no caller-side configuration, reproducing a rebalanced
-//!   placement; all 8 shipped detector kinds serialize their state
-//!   bit-exactly. v1/v2 snapshots still load: their spec-less entries
-//!   restore through the builder's default spec, or through specs the
-//!   caller fills into [`StreamStateSnapshot::spec`].
+//! * [`EngineHandle::snapshot_compact`] serializes every stream's detector
+//!   state into a wire-v4 [`EngineSnapshot`]; [`EngineBuilder::restore`]
+//!   rebuilds a fresh engine that makes **identical subsequent decisions**,
+//!   so a restarted process resumes mid-stream. Snapshots of spec-registered
+//!   streams embed `{spec, state, shard}` and restore with no caller-side
+//!   configuration, reproducing a rebalanced placement; all 8 shipped
+//!   detector kinds serialize their state bit-exactly, windows as compact
+//!   binary blobs. v4 is the only layout written; v1–v3 snapshots still
+//!   load, and their spec-less (v1) entries restore through the builder's
+//!   default spec, or through specs the caller fills into
+//!   [`StreamStateSnapshot::spec`].
 //! * Whole fleets load from config files: [`FleetConfig`] /
 //!   [`EngineBuilder::from_config_json`] turn a JSON map of
 //!   `stream id → spec string` into a fully registered engine.
@@ -135,10 +136,6 @@ pub use event::DriftEvent;
 pub use fleet::FleetConfig;
 pub use handle::{EngineHandle, EngineStats, RebalancePolicy, RebalanceReport, ShardLoad};
 pub use hibernate::HibernationPolicy;
-pub use persist::{wire_version, EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
+pub use persist::{EngineSnapshot, StreamStateSnapshot, ENGINE_SNAPSHOT_VERSION};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use sink::{CallbackSink, EventSink, JsonLinesSink, MemorySink};
-
-// Re-exported so engine users can pick a snapshot layout without depending
-// on `optwin-core` directly.
-pub use optwin_core::SnapshotEncoding;

@@ -1,7 +1,7 @@
 //! Engine-level persistence: snapshot the per-stream detector state of a
 //! running engine and restore it in a fresh process.
 //!
-//! [`crate::EngineHandle::snapshot`] asks every shard worker to serialize
+//! [`crate::EngineHandle::snapshot_compact`] asks every shard worker to serialize
 //! its streams (sequence counters plus each detector's
 //! [`optwin_core::DriftDetector::snapshot_state`]) into an
 //! [`EngineSnapshot`], a plain serializable value that can be written to
@@ -43,18 +43,19 @@
 //!
 //! # Wire format v4: compact binary window payloads
 //!
-//! Since format version 4 the per-stream detector `state` may embed its
+//! Since format version 4 the per-stream detector `state` embeds its
 //! sequence-shaped payloads — OPTWIN/KSWIN windows, the STEPD result
 //! window, ADWIN's bucket columns — as compact base64 binary blobs (see
 //! [`optwin_core::snapshot`]) instead of JSON number arrays, shrinking
 //! large-window fleet snapshots by an order of magnitude while keeping
 //! restores **bit-exact** (the blobs carry the same raw accumulators; no
 //! recomputation happens on either side). The outer JSON structure is
-//! unchanged, and every detector's `restore_state` accepts both layouts, so
-//! a v4 reader loads v1–v3 snapshots unchanged and the layout is chosen
-//! purely at write time: [`crate::EngineHandle::snapshot_compact`] (or the
-//! [`crate::EngineBuilder::snapshot_encoding`] knob) writes v4,
-//! [`crate::EngineHandle::snapshot`] defaults to v3 JSON.
+//! unchanged, and every detector's `restore_state` accepts both layouts.
+//!
+//! v4 is the only layout any code path **writes**: snapshots, checkpoint
+//! bases and overlays, and hibernation blobs. Versions 1–3 stay
+//! **readable** — a v4 reader loads them unchanged — but nothing produces
+//! them any more.
 //!
 //! # Hibernated streams (no wire bump)
 //!
@@ -65,7 +66,7 @@
 //! to pre-hibernation output, and the embedded state is ordinary wire-v4
 //! binary-encoded detector state that **every** restore path already
 //! accepts — which is why hibernated entries require **no** wire version
-//! bump: they ride v3/v4 unchanged, and a reader that ignores the marker
+//! bump: they ride v4 unchanged, and a reader that ignores the marker
 //! still restores correctly (awake).
 //!
 //! The snapshot deliberately excludes detector *configuration* beyond the
@@ -91,12 +92,12 @@
 //! hibernated entries applies to recovered fleets unchanged.
 
 use optwin_baselines::DetectorSpec;
-use optwin_core::SnapshotEncoding;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineError;
 
-/// Current serialization format version of [`EngineSnapshot`].
+/// Current serialization format version of [`EngineSnapshot`], and the
+/// only one any writer emits. Every older version stays readable:
 ///
 /// * **v1** — per-stream `{seq, detector, state}`; restore requires a
 ///   default spec or caller-filled specs.
@@ -108,24 +109,12 @@ use crate::engine::EngineError;
 ///   v1/v2 snapshots still parse and restore, defaulting to `id % shards`.
 /// * **v4** — detector states embed window/bucket payloads as compact
 ///   binary blobs instead of JSON number arrays. v1–v3 snapshots still
-///   parse and restore unchanged; v3 remains the default *write* format
-///   ([`wire_version`]).
+///   parse and restore unchanged, but are no longer written.
 ///
 /// Wire **v5** is a checkpoint *directory* format
 /// ([`crate::checkpoint::CHECKPOINT_WIRE_VERSION`]) layered on top of v4
 /// snapshots — it does not bump this constant.
 pub const ENGINE_SNAPSHOT_VERSION: u64 = 4;
-
-/// The wire version written for a given sequence layout: v3 for
-/// [`SnapshotEncoding::Json`] (the historical number-array layout), v4 for
-/// [`SnapshotEncoding::Binary`] (compact blobs).
-#[must_use]
-pub fn wire_version(encoding: SnapshotEncoding) -> u64 {
-    match encoding {
-        SnapshotEncoding::Json => 3,
-        SnapshotEncoding::Binary => ENGINE_SNAPSHOT_VERSION,
-    }
-}
 
 /// The persisted state of one stream: its position, optionally the
 /// [`DetectorSpec`] it was registered with, and its detector's serialized
@@ -262,7 +251,7 @@ impl EngineSnapshot {
     }
 
     /// `true` when every stream records its shard placement (wire format
-    /// v3), i.e. a restore reproduces the producing engine's routing table
+    /// v3+), i.e. a restore reproduces the producing engine's routing table
     /// instead of re-pinning by `id % shards`.
     #[must_use]
     pub fn records_placement(&self) -> bool {

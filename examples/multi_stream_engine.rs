@@ -30,11 +30,10 @@
 //! a default spec** — the snapshot embeds each stream's
 //! `{spec, state, shard}`, so the restarted process rebuilds all 256
 //! heterogeneous detectors (and the tuned placement) from the JSON alone
-//! and produces exactly the events the original would have. The restart
-//! uses the **v4 compact binary** snapshot
-//! ([`EngineHandle::snapshot_compact`]): detector windows travel as
-//! bit-packed / fixed-point binary blobs instead of JSON number arrays,
-//! and both layouts' sizes are printed side by side.
+//! and produces exactly the events the original would have. The snapshot
+//! ([`EngineHandle::snapshot_compact`], wire v4) carries detector windows
+//! as bit-packed / fixed-point binary blobs instead of JSON number arrays;
+//! its size is printed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,9 +159,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         handle.rerouted_streams()
     );
 
-    // Snapshot the fleet in both wire layouts: v3 (JSON number arrays) for
-    // the size comparison, v4 (compact binary blobs) for the actual restart.
-    let v3_size = handle.snapshot()?.to_json().len();
     let snapshot = handle.snapshot_compact()?;
     handle.shutdown()?;
     assert!(
@@ -177,12 +173,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let snapshot_json = snapshot.to_json();
     println!(
         "phase 1: {} elements in {phase1:.2?}; self-describing snapshot captured {} streams \
-         (v3 JSON: {} KiB, v4 binary: {} KiB — {:.0}% of v3)",
+         ({} KiB)",
         N_STREAMS as usize * ELEMENTS_PER_STREAM / 2,
         snapshot.stream_count(),
-        v3_size / 1024,
         snapshot_json.len() / 1024,
-        snapshot_json.len() as f64 / v3_size as f64 * 100.0,
     );
 
     // ---- Phase 2: a "restarted process" restores the snapshot from its

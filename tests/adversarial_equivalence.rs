@@ -14,7 +14,7 @@
 //! identically-placed NaN accumulator or a `-0.0` vs `0.0` divergence in the
 //! window fails the property).
 
-use optwin::{DetectorSpec, DriftDetector, DriftStatus, SnapshotEncoding};
+use optwin::{DetectorSpec, DriftDetector, DriftStatus};
 use proptest::prelude::*;
 
 /// Chunkings the batched detector replays the stream under.
@@ -196,7 +196,7 @@ proptest! {
                     // these streams provoke), free the detector, wake a
                     // fresh one.
                     let blob = cycled
-                        .snapshot_state_encoded(SnapshotEncoding::Binary)
+                        .snapshot_state()
                         .expect("all shipped detectors support state snapshots");
                     drop(cycled);
                     cycled = spec.build().expect("default specs are valid");

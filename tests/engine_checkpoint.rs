@@ -20,7 +20,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use optwin::core::{BatchOutcome, CoreError, DriftDetector, DriftStatus, SnapshotEncoding};
+use optwin::core::{BatchOutcome, CoreError, DriftDetector, DriftStatus};
 use optwin::engine::{fsync_count, load_checkpoint_dir, CheckpointPolicy, Durability, EngineError};
 use optwin::{
     DetectorSpec, DriftEvent, EngineBuilder, EngineHandle, EventSink, HibernationPolicy, MemorySink,
@@ -286,9 +286,6 @@ impl DriftDetector for PoisonPill {
     }
     fn snapshot_state(&self) -> Option<serde::Value> {
         self.inner.snapshot_state()
-    }
-    fn snapshot_state_encoded(&self, encoding: SnapshotEncoding) -> Option<serde::Value> {
-        self.inner.snapshot_state_encoded(encoding)
     }
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), CoreError> {
         self.inner.restore_state(state)

@@ -10,10 +10,7 @@
 
 use std::sync::Arc;
 
-use optwin::{
-    DetectorSpec, DriftEvent, EngineBuilder, EventSink, HibernationPolicy, MemorySink,
-    SnapshotEncoding,
-};
+use optwin::{DetectorSpec, DriftEvent, EngineBuilder, EventSink, HibernationPolicy, MemorySink};
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
 fn jitter(i: u64) -> f64 {
@@ -149,16 +146,8 @@ fn hibernating_fleet_is_bit_exact_with_never_sleeping_fleet() {
     let round_trip = |snap: optwin::EngineSnapshot| {
         optwin::EngineSnapshot::from_json(&snap.to_json()).expect("round-trip")
     };
-    let hib_snap = round_trip(
-        hibernating
-            .snapshot_with(SnapshotEncoding::Binary)
-            .expect("snapshot"),
-    );
-    let ref_snap = round_trip(
-        reference
-            .snapshot_with(SnapshotEncoding::Binary)
-            .expect("snapshot"),
-    );
+    let hib_snap = round_trip(hibernating.snapshot_compact().expect("snapshot"));
+    let ref_snap = round_trip(reference.snapshot_compact().expect("snapshot"));
     assert_eq!(hib_snap.streams.len(), ref_snap.streams.len());
     for (h, r) in hib_snap.streams.iter().zip(&ref_snap.streams) {
         assert_eq!(h.stream, r.stream);

@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use optwin::core::snapshot::expand_blobs;
 use optwin::engine::EngineError;
 use optwin::{
     DetectorSpec, DriftEvent, EngineBuilder, EngineHandle, EngineSnapshot, EventSink, MemorySink,
@@ -182,8 +183,9 @@ fn skewed_load_rebalance_is_bit_exact_and_balances() {
     );
 }
 
-/// A v3 snapshot taken after a rebalance records the tuned placement, and a
-/// restore reproduces it — along with bit-exact remaining events.
+/// A snapshot taken after a rebalance records the tuned placement (a v3
+/// feature; snapshots are written as v4), and a restore reproduces it —
+/// along with bit-exact remaining events.
 #[test]
 fn v3_snapshot_round_trips_rebalanced_placement() {
     const CUT: usize = 3_200;
@@ -210,7 +212,7 @@ fn v3_snapshot_round_trips_rebalanced_placement() {
     let placement: Vec<usize> = (0..SKEW_STREAMS).map(|s| original.shard_of(s)).collect();
     let rerouted = original.rerouted_streams();
     let early_events = canonical(original_sink.drain());
-    let snapshot = original.snapshot().expect("snapshot-capable");
+    let snapshot = original.snapshot_compact().expect("snapshot-capable");
     original.shutdown().expect("clean shutdown");
     assert!(snapshot.is_self_describing());
     assert!(snapshot.records_placement());
@@ -277,14 +279,16 @@ fn v2_snapshots_restore_with_modulo_placement() {
         .rebalance(RebalancePolicy::Records)
         .expect("engine running");
     let early_events = canonical(original_sink.drain());
-    let snapshot = original.snapshot().expect("snapshot-capable");
+    let snapshot = original.snapshot_compact().expect("snapshot-capable");
     original.shutdown().expect("clean shutdown");
 
-    // Downgrade to wire format v2: strip the placement entries.
+    // Downgrade to wire format v2: strip the placement entries and expand
+    // the v4 blobs back into plain arrays.
     let mut v2 = snapshot;
     v2.version = 2;
     for stream in &mut v2.streams {
         stream.shard = None;
+        stream.state = expand_blobs(&stream.state);
     }
     let v2 = EngineSnapshot::from_json(&v2.to_json()).expect("v2 parses");
     assert_eq!(v2.version, 2);

@@ -12,6 +12,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
+use optwin::core::snapshot::expand_blobs;
 use optwin::engine::EngineError;
 use optwin::{
     DetectorSpec, DriftDetector, DriftEvent, EngineBuilder, EngineHandle, EngineSnapshot,
@@ -114,7 +115,9 @@ fn snapshot_restore_produces_identical_remaining_events() {
     let (original, original_sink) = optwin_engine(test_shards(), 800, None);
     feed(&original, 0, CUT);
     let early_events = canonical(original_sink.drain());
-    let snapshot = original.snapshot().expect("OPTWIN supports snapshots");
+    let snapshot = original
+        .snapshot_compact()
+        .expect("OPTWIN supports snapshots");
     original.shutdown().expect("clean shutdown");
     assert_eq!(snapshot.stream_count(), STREAMS as usize);
 
@@ -226,7 +229,7 @@ fn duplicate_streams_are_rejected_everywhere() {
     let (donor, _sink) = optwin_engine(2, 100, None);
     donor.submit(&[(5, 0.1)]).expect("engine running");
     donor.flush().expect("no errors");
-    let snapshot = donor.snapshot().expect("snapshot-capable");
+    let snapshot = donor.snapshot_compact().expect("snapshot-capable");
     donor.shutdown().expect("clean shutdown");
     let err = EngineBuilder::new()
         .shards(2)
@@ -259,7 +262,7 @@ fn builder_rejects_degenerate_configurations() {
     let (donor, _sink) = optwin_engine(2, 100, None);
     donor.submit(&[(1, 0.5)]).expect("engine running");
     donor.flush().expect("no errors");
-    let snapshot = without_specs(donor.snapshot().expect("snapshot-capable"));
+    let snapshot = without_specs(donor.snapshot_compact().expect("snapshot-capable"));
     donor.shutdown().expect("clean shutdown");
     let err = EngineBuilder::new()
         .shards(2)
@@ -309,7 +312,7 @@ fn snapshot_unsupported_detectors_are_reported() {
     handle.submit(&[(3, 0.0)]).expect("engine running");
     handle.flush().expect("no errors");
     let err = handle
-        .snapshot()
+        .snapshot_compact()
         .expect_err("the custom detector has no snapshot support");
     assert_eq!(
         err,
@@ -517,14 +520,11 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     }
     feed(&original, 0, CUT);
     let early_events = canonical(original_sink.drain());
-    let snapshot = original.snapshot().expect("all 8 kinds snapshot");
+    let snapshot = original.snapshot_compact().expect("all 8 kinds snapshot");
     original.shutdown().expect("clean shutdown");
     assert_eq!(snapshot.stream_count(), STREAMS as usize);
     assert!(snapshot.is_self_describing());
-    assert!(
-        snapshot.records_placement(),
-        "v3 snapshots record placement"
-    );
+    assert!(snapshot.records_placement(), "snapshots record placement");
 
     // Restore through JSON into a differently-sharded engine with NO
     // default spec and NO stream registration of any kind.
@@ -570,13 +570,15 @@ fn heterogeneous_spec_fleet_restores_without_any_factory() {
     );
 }
 
-/// `snapshot` as a spec-less v1 snapshot: the v1 payload is the v3 payload
-/// minus the per-stream specs and shard placements.
+/// `snapshot` as a spec-less v1 snapshot: the v1 payload is the v4 payload
+/// minus the per-stream specs and shard placements, with every window blob
+/// expanded back into a plain array.
 fn without_specs(mut snapshot: EngineSnapshot) -> EngineSnapshot {
     snapshot.version = 1;
     for stream in &mut snapshot.streams {
         stream.spec = None;
         stream.shard = None;
+        stream.state = expand_blobs(&stream.state);
     }
     EngineSnapshot::from_json(&snapshot.to_json()).expect("v1 parses")
 }
@@ -603,7 +605,7 @@ fn spec_less_snapshots_restore_through_default_spec() {
     let (donor, donor_sink) = optwin_engine(2, 800, None);
     feed(&donor, 0, CUT);
     let early_events = donor_sink.drain();
-    let v1 = without_specs(donor.snapshot().expect("snapshot-capable"));
+    let v1 = without_specs(donor.snapshot_compact().expect("snapshot-capable"));
     donor.shutdown().expect("clean shutdown");
     assert_eq!(v1.version, 1);
     assert!(!v1.is_self_describing());
@@ -700,7 +702,6 @@ fn default_spec_and_register_stream_spec() {
 
 mod snapshot_property {
     use super::*;
-    use optwin::SnapshotEncoding;
     use proptest::prelude::*;
 
     /// One stream per `DetectorSpec` kind, with small windows so the
@@ -760,9 +761,9 @@ mod snapshot_property {
     proptest! {
         /// Snapshot → JSON → restore at an arbitrary cut point of an
         /// arbitrary bounded stream — over a fleet covering **all 8
-        /// detector kinds**, in **both** the v3-JSON and the v4-binary wire
-        /// layout — reproduces the uninterrupted engine's remaining events
-        /// exactly.
+        /// detector kinds**, both as written (v4) and relabelled as v3 with
+        /// every blob expanded into the v3 array layout — reproduces the
+        /// uninterrupted engine's remaining events exactly.
         #[test]
         fn snapshot_round_trip_preserves_remaining_events(
             values in proptest::collection::vec(0.0f64..=1.0, 50..400),
@@ -774,25 +775,29 @@ mod snapshot_property {
             let records = fleet_records(&values);
             let record_cut = cut * 8;
 
-            // Uninterrupted reference (shared by both encodings).
+            // Uninterrupted reference (shared by both layouts).
             let (reference, reference_sink) = fleet_engine(shards, None);
             reference.submit(&records).expect("engine running");
             reference.flush().expect("no errors");
             let all_events = canonical(reference_sink.drain());
             reference.shutdown().expect("clean shutdown");
 
-            for encoding in [SnapshotEncoding::Json, SnapshotEncoding::Binary] {
+            for expand in [false, true] {
                 // Interrupted at `cut`.
                 let (original, original_sink) = fleet_engine(shards, None);
                 original.submit(&records[..record_cut]).expect("engine running");
                 original.flush().expect("no errors");
                 let early = original_sink.drain();
-                let snapshot = original.snapshot_with(encoding).expect("snapshot-capable");
+                let mut snapshot = original.snapshot_compact().expect("snapshot-capable");
                 original.shutdown().expect("clean shutdown");
-                let expected_version =
-                    if encoding == SnapshotEncoding::Binary { 4 } else { 3 };
-                prop_assert_eq!(snapshot.version, expected_version);
+                prop_assert_eq!(snapshot.version, 4);
                 prop_assert!(snapshot.is_self_describing());
+                if expand {
+                    snapshot.version = 3;
+                    for stream in &mut snapshot.streams {
+                        stream.state = expand_blobs(&stream.state);
+                    }
+                }
 
                 let snapshot = EngineSnapshot::from_json(&snapshot.to_json())
                     .expect("well-formed JSON");
@@ -806,7 +811,7 @@ mod snapshot_property {
                 stitched.extend(late);
                 prop_assert!(
                     canonical(stitched) == all_events,
-                    "stitched events diverge under {encoding:?} at cut {cut}"
+                    "stitched events diverge (expanded: {expand}) at cut {cut}"
                 );
             }
         }
