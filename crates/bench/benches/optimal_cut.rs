@@ -1,6 +1,7 @@
 //! Cost of building OPTWIN's pre-computed cut tables (§3.4: the ν, t_ppf and
 //! f_ppf values are computed once per window length, not per element), and an
-//! ablation over the robustness parameter ρ.
+//! ablation over the robustness parameter ρ. The `w_max = 25 000` row is the
+//! paper's default, the table an engine builds on its first OPTWIN ingest.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -9,7 +10,13 @@ use optwin_core::{CutTable, OptwinConfig};
 fn bench_cut_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("cut_table_precompute");
     group.sample_size(10);
-    for (rho, w_max) in [(0.5, 1_000usize), (0.5, 4_000), (0.1, 4_000), (1.0, 4_000)] {
+    for (rho, w_max) in [
+        (0.5, 1_000usize),
+        (0.5, 4_000),
+        (0.1, 4_000),
+        (1.0, 4_000),
+        (0.5, 25_000),
+    ] {
         let label = format!("rho={rho}_wmax={w_max}");
         group.bench_with_input(
             BenchmarkId::from_parameter(label),

@@ -19,9 +19,14 @@
 //! Because ρ(ν) depends only on `|W|`, δ and ρ (never on the data), the split
 //! point and both critical values are pre-computed per window length, exactly
 //! as described in §3.4 of the paper. [`CutTable`] computes entries lazily,
-//! warm-starting each search from the neighbouring window length so that
-//! building the full `w_max = 25 000` table costs only a few probability
-//! point function evaluations per length.
+//! warm-starting each search from the neighbouring window length, so an
+//! entry usually costs three quantile pairs: two Equation 1 evaluations to
+//! pin the largest admissible split, whose critical values the entry then
+//! reuses, and one at the warning confidence. A range of missing entries is
+//! cut into contiguous parts, one per core, that are filled on scoped
+//! threads and published under one write lock. Every entry is the same
+//! whichever part computes it: the hint only decides where the split search
+//! starts, not the split it returns.
 //!
 //! ## A note on the F-test degrees of freedom
 //!
@@ -32,7 +37,7 @@
 //! `(|W_new|−1, |W_hist|−1)`, which is what this implementation uses — both
 //! for the runtime test and inside Equation 1.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -66,13 +71,16 @@ pub struct CutEntry {
     pub f_warn: Option<f64>,
 }
 
+/// Equation 1 at one split: `(ρ, df, t_crit, f_crit)`.
+type Equation1 = (f64, f64, f64, f64);
+
 /// The value of Equation 1's right-hand side for a concrete integer split.
 ///
 /// `w` is the window length and `k` the number of elements in `W_hist`.
 /// Returns the guaranteed-detectable shift (in units of `σ_hist`) together
 /// with the Welch degrees of freedom and the two critical values, so callers
 /// can reuse them without re-evaluating the quantile functions.
-fn equation_one(w: usize, k: usize, delta_prime: f64) -> Result<(f64, f64, f64, f64)> {
+fn equation_one(w: usize, k: usize, delta_prime: f64) -> Result<Equation1> {
     debug_assert!(k >= 2 && w - k >= 2, "both sub-windows need >= 2 elements");
     let n_hist = k as f64;
     let n_new = (w - k) as f64;
@@ -99,30 +107,56 @@ fn equation_one(w: usize, k: usize, delta_prime: f64) -> Result<(f64, f64, f64, 
 /// per sub-window to have defined variances).
 const MIN_SUB_WINDOW: usize = 2;
 
+/// Fewest missing entries worth a part of their own in a parallel fill: a
+/// part costs one thread spawn plus a split search that starts further from
+/// its answer, against ~100 µs of quantile work per entry.
+const MIN_ENTRIES_PER_PART: usize = 32;
+
+/// Marks a slot the cache does not hold yet (no real entry has
+/// `window_len == 0`; lengths start at `w_min >= 1`).
+const MISSING: CutEntry = CutEntry {
+    window_len: 0,
+    split: 0,
+    nu: 0.0,
+    exact: false,
+    t_crit: f64::INFINITY,
+    f_crit: f64::INFINITY,
+    df: 1.0,
+    t_warn: None,
+    f_warn: None,
+};
+
+/// Cores available to a table fill, read once per process.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Computes the optimal cut for window length `w`: the largest split `k` such
 /// that Equation 1's guaranteed-detectable shift is at most `rho`.
 ///
-/// `hint` optionally provides the split found for a nearby window length; the
-/// search then only probes a local neighbourhood before falling back to a
-/// full scan, which makes sequential table construction cheap.
+/// `hint` optionally provides a guess near the answer (e.g. extrapolated
+/// from a nearby window length); the search then only probes a local
+/// neighbourhood before falling back to a full scan, which makes sequential
+/// table construction cheap.
 ///
-/// Returns `(split, exact)` where `exact` is `false` when no split satisfies
-/// the requirement and the ν = 0.5 fallback was applied.
+/// Returns the split with Equation 1 evaluated at it, or `None` when no
+/// split satisfies the requirement and the ν = 0.5 fallback applies.
 fn optimal_split(
     w: usize,
     rho: f64,
     delta_prime: f64,
     hint: Option<usize>,
-) -> Result<(usize, bool)> {
+) -> Result<Option<(usize, Equation1)>> {
     let k_min = MIN_SUB_WINDOW;
     let k_max = w - MIN_SUB_WINDOW;
     if k_min > k_max {
-        return Ok((w / 2, false));
+        return Ok(None);
     }
 
-    let satisfies = |k: usize| -> Result<bool> {
-        let (r, _, _, _) = equation_one(w, k, delta_prime)?;
-        Ok(r <= rho)
+    let admissible = |k: usize| -> Result<Option<Equation1>> {
+        let eq = equation_one(w, k, delta_prime)?;
+        Ok((eq.0 <= rho).then_some(eq))
     };
 
     // Fast path: walk locally from the hint. The admissible region
@@ -130,11 +164,13 @@ fn optimal_split(
     // largest admissible k is characterised by ρ(k) ≤ rho < ρ(k+1).
     if let Some(h) = hint {
         let mut k = h.clamp(k_min, k_max);
-        if satisfies(k)? {
-            while k < k_max && satisfies(k + 1)? {
+        if let Some(mut best) = admissible(k)? {
+            while k < k_max {
+                let Some(eq) = admissible(k + 1)? else { break };
                 k += 1;
+                best = eq;
             }
-            return Ok((k, true));
+            return Ok(Some((k, best)));
         }
         // The hint overshoots; walk down a bounded number of steps before
         // giving up and scanning.
@@ -144,8 +180,8 @@ fn optimal_split(
                 break;
             }
             down -= 1;
-            if satisfies(down)? {
-                return Ok((down, true));
+            if let Some(eq) = admissible(down)? {
+                return Ok(Some((down, eq)));
             }
         }
     }
@@ -157,11 +193,11 @@ fn optimal_split(
     // geometric grid to find a coarse bracket, then binary-search inside it.
     let mut probe = k_max;
     let mut last_bad = k_max + 1;
-    let mut found: Option<usize> = None;
+    let mut found = None;
     let mut step = 1usize;
     loop {
-        if satisfies(probe)? {
-            found = Some(probe);
+        if let Some(eq) = admissible(probe)? {
+            found = Some((probe, eq));
             break;
         }
         last_bad = probe;
@@ -170,30 +206,77 @@ fn optimal_split(
         }
         probe = probe.saturating_sub(step).max(k_min);
         // Geometric acceleration, capped so that a narrow admissible interval
-        // (which occurs just above w_proof) cannot be stepped over.
+        // (which occurs just above w_proof) is rarely stepped over.
         step = (step * 2).min(32);
     }
 
-    let Some(lo_good) = found else {
-        // No admissible split at all: |W| < w_proof, fall back to ν = 0.5.
-        return Ok((w / 2, false));
+    // When the grid did step over the interval, the U's minimum lies in it.
+    let (mut lo, mut best, mut hi) = match found {
+        Some((k, eq)) => (k, eq, last_bad),
+        None => match admissible_near_minimum(w, rho, delta_prime)? {
+            Some((k, eq)) => (k, eq, k_max + 1),
+            // No admissible split at all: |W| < w_proof, fall back to ν = 0.5.
+            None => return Ok(None),
+        },
     };
 
-    // Binary search for the boundary in (lo_good, last_bad).
-    let mut lo = lo_good;
-    let mut hi = last_bad; // exclusive: known to violate (or k_max + 1)
+    // Binary search for the boundary in (lo, hi); hi is known to violate
+    // (or is k_max + 1).
     while lo + 1 < hi {
         let mid = lo + (hi - lo) / 2;
         if mid > k_max {
             break;
         }
-        if satisfies(mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
+        match admissible(mid)? {
+            Some(eq) => {
+                lo = mid;
+                best = eq;
+            }
+            None => hi = mid,
         }
     }
-    Ok((lo, true))
+    Ok(Some((lo, best)))
+}
+
+/// Some admissible split for window length `w`, found by a ternary search
+/// towards the minimum of the U-shaped ρ(k), or `None` when even the
+/// minimum exceeds `rho`.
+fn admissible_near_minimum(
+    w: usize,
+    rho: f64,
+    delta_prime: f64,
+) -> Result<Option<(usize, Equation1)>> {
+    let k_min = MIN_SUB_WINDOW;
+    let k_max = w.saturating_sub(MIN_SUB_WINDOW);
+    if k_min >= k_max {
+        return Ok(None);
+    }
+    let mut lo = k_min;
+    let mut hi = k_max;
+    while hi - lo > 2 {
+        let m1 = lo + (hi - lo) / 3;
+        let m2 = hi - (hi - lo) / 3;
+        let eq1 = equation_one(w, m1, delta_prime)?;
+        let eq2 = equation_one(w, m2, delta_prime)?;
+        if eq2.0 <= rho {
+            return Ok(Some((m2, eq2)));
+        }
+        if eq1.0 <= rho {
+            return Ok(Some((m1, eq1)));
+        }
+        if eq1.0 < eq2.0 {
+            hi = m2;
+        } else {
+            lo = m1;
+        }
+    }
+    for k in lo..=hi {
+        let eq = equation_one(w, k, delta_prime)?;
+        if eq.0 <= rho {
+            return Ok(Some((k, eq)));
+        }
+    }
+    Ok(None)
 }
 
 /// Lazily built, thread-safe lookup table of [`CutEntry`] values for every
@@ -282,24 +365,12 @@ impl CutTable {
                 ),
             });
         }
-        let idx = w - self.w_min;
-        if let Some(entry) = self.cache.read()[idx] {
+        if let Some(entry) = self.cache.read()[w - self.w_min] {
             return Ok(entry);
         }
-        // Warm-start from the nearest cached neighbour below, if any.
-        let hint = {
-            let cache = self.cache.read();
-            cache[..idx]
-                .iter()
-                .rev()
-                .take(16)
-                .flatten()
-                .map(|e| e.split + (w - e.window_len))
-                .next()
-        };
-        let entry = self.compute_entry(w, hint)?;
-        self.cache.write()[idx] = Some(entry);
-        Ok(entry)
+        let mut slot = [MISSING];
+        self.fill(w, &mut slot)?;
+        Ok(slot[0])
     }
 
     /// Returns the entries for every window length in `[lo, hi]` (both
@@ -307,8 +378,9 @@ impl CutTable {
     ///
     /// This is the batch-ingestion fast path: one read-lock acquisition
     /// covers the whole contiguous range instead of one per element, and
-    /// missing entries are computed in one pass with warm-started split
-    /// searches before a single write-lock stores them all.
+    /// missing entries are computed with warm-started split searches (in
+    /// parallel parts when there are enough of them) before a single write
+    /// lock stores them all.
     ///
     /// # Errors
     ///
@@ -342,48 +414,13 @@ impl CutTable {
                 ),
             });
         }
-        // One read-lock copies the cached slots into the output buffer;
-        // missing entries are marked with a `window_len == 0` placeholder (no
-        // real entry has one — lengths start at `w_min >= 1`).
         out.clear();
-        let missing = {
-            let cache = self.cache.read();
-            let slots = &cache[lo - self.w_min..=hi - self.w_min];
-            let placeholder = CutEntry {
-                window_len: 0,
-                split: 0,
-                nu: 0.0,
-                exact: false,
-                t_crit: f64::INFINITY,
-                f_crit: f64::INFINITY,
-                df: 1.0,
-                t_warn: None,
-                f_warn: None,
-            };
-            out.extend(slots.iter().map(|slot| slot.unwrap_or(placeholder)));
-            slots.iter().filter(|e| e.is_none()).count()
-        };
-        if missing == 0 {
-            return Ok(());
-        }
-        // Compute the missing entries outside any lock, warm-starting each
-        // search from its predecessor in the range, then publish the whole
-        // chunk under one write lock.
-        let mut hint: Option<usize> = None;
-        for (offset, slot) in out.iter_mut().enumerate() {
-            if slot.window_len == 0 {
-                let entry = self.compute_entry(lo + offset, hint)?;
-                *slot = entry;
-            }
-            hint = Some(slot.split + 1);
-        }
-        {
-            let mut cache = self.cache.write();
-            for (offset, entry) in out.iter().enumerate() {
-                cache[lo - self.w_min + offset] = Some(*entry);
-            }
-        }
-        Ok(())
+        out.extend(
+            self.cache.read()[lo - self.w_min..=hi - self.w_min]
+                .iter()
+                .map(|slot| slot.unwrap_or(MISSING)),
+        );
+        self.fill(lo, out)
     }
 
     /// Eagerly computes every entry in `[w_min, w_max]`.
@@ -392,18 +429,7 @@ impl CutTable {
     ///
     /// Propagates the first computation error encountered.
     pub fn precompute_all(&self) -> Result<()> {
-        let mut hint: Option<usize> = None;
-        for w in self.w_min..=self.w_max {
-            let idx = w - self.w_min;
-            if let Some(e) = self.cache.read()[idx] {
-                hint = Some(e.split + 1);
-                continue;
-            }
-            let entry = self.compute_entry(w, hint)?;
-            hint = Some(entry.split + 1);
-            self.cache.write()[idx] = Some(entry);
-        }
-        Ok(())
+        self.entries_range(self.w_min, self.w_max).map(drop)
     }
 
     /// Number of entries currently cached (diagnostics).
@@ -415,34 +441,7 @@ impl CutTable {
     /// Whether Equation 1 has any admissible split for window length `w`
     /// (evaluated at the U-shaped function's minimum via ternary search).
     fn solution_exists(&self, w: usize) -> Result<bool> {
-        let k_min = MIN_SUB_WINDOW;
-        let k_max = w.saturating_sub(MIN_SUB_WINDOW);
-        if k_min >= k_max {
-            return Ok(false);
-        }
-        let mut lo = k_min;
-        let mut hi = k_max;
-        while hi - lo > 2 {
-            let m1 = lo + (hi - lo) / 3;
-            let m2 = hi - (hi - lo) / 3;
-            let (r1, _, _, _) = equation_one(w, m1, self.delta_prime)?;
-            let (r2, _, _, _) = equation_one(w, m2, self.delta_prime)?;
-            if r1 <= self.rho || r2 <= self.rho {
-                return Ok(true);
-            }
-            if r1 < r2 {
-                hi = m2;
-            } else {
-                lo = m1;
-            }
-        }
-        for k in lo..=hi {
-            let (r, _, _, _) = equation_one(w, k, self.delta_prime)?;
-            if r <= self.rho {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        Ok(admissible_near_minimum(w, self.rho, self.delta_prime)?.is_some())
     }
 
     /// Lazily computes the proof window (smallest `w` with a solution) by
@@ -472,22 +471,97 @@ impl CutTable {
         Ok(result)
     }
 
-    fn compute_entry(&self, w: usize, hint: Option<usize>) -> Result<CutEntry> {
-        let below_proof = match self.proof_window()? {
-            Some(w_proof) => w < w_proof,
-            None => true,
+    /// Computes the [`MISSING`] slots of `slots`, the entries for window
+    /// lengths `lo..lo + slots.len()`, and publishes them to the cache.
+    ///
+    /// This is the one fill routine behind [`CutTable::entry`],
+    /// [`CutTable::entries_range_into`] and [`CutTable::precompute_all`].
+    fn fill(&self, lo: usize, slots: &mut [CutEntry]) -> Result<()> {
+        let missing = slots.iter().filter(|e| e.window_len == 0).count();
+        if missing == 0 {
+            return Ok(());
+        }
+        let parts = (missing / MIN_ENTRIES_PER_PART).clamp(1, cores());
+        self.fill_in_parts(lo, slots, parts)
+    }
+
+    /// [`CutTable::fill`] cut into at most `parts` contiguous parts, the
+    /// first filled on the calling thread and the others on scoped threads.
+    fn fill_in_parts(&self, lo: usize, slots: &mut [CutEntry], parts: usize) -> Result<()> {
+        // Resolved before any helper thread exists, so the parts share it
+        // instead of racing to compute it.
+        let w_proof = self.proof_window()?;
+        // Every part's split search starts from the nearest cached entry
+        // below the range, if one is close.
+        let seed = self.cache.read()[..lo - self.w_min]
+            .iter()
+            .rev()
+            .take(16)
+            .flatten()
+            .next()
+            .copied();
+        let fill_part = |start: usize, part: &mut [CutEntry]| -> Result<()> {
+            let mut prev = seed;
+            for (offset, slot) in part.iter_mut().enumerate() {
+                if slot.window_len == 0 {
+                    let w = start + offset;
+                    let hint = prev.map(|e| e.split + (w - e.window_len));
+                    *slot = self.compute_entry(w, hint, w_proof)?;
+                }
+                prev = Some(*slot);
+            }
+            Ok(())
         };
-        let (split, exact) = if below_proof {
-            // Below the proof window: Equation 1 has no solution, use ν = 0.5.
-            (w / 2, false)
-        } else {
-            optimal_split(w, self.rho, self.delta_prime, hint)?
+
+        let part_len = slots.len().div_ceil(parts.max(1));
+        std::thread::scope(|scope| {
+            let mut chunks = slots.chunks_mut(part_len).enumerate();
+            let (_, first) = chunks.next().expect("a fill covers at least one slot");
+            let helpers: Vec<_> = chunks
+                .map(|(i, part)| scope.spawn(move || fill_part(lo + i * part_len, part)))
+                .collect();
+            let mut result = fill_part(lo, first);
+            for helper in helpers {
+                let joined = helper.join().expect("cut-table fill thread panicked");
+                result = result.and(joined);
+            }
+            result
+        })?;
+
+        let mut cache = self.cache.write();
+        let start = lo - self.w_min;
+        for (slot, entry) in cache[start..start + slots.len()]
+            .iter_mut()
+            .zip(slots.iter())
+        {
+            *slot = Some(*entry);
+        }
+        Ok(())
+    }
+
+    /// The entry for window length `w`, searching from `hint`, given the
+    /// table's resolved proof window.
+    fn compute_entry(
+        &self,
+        w: usize,
+        hint: Option<usize>,
+        w_proof: Option<usize>,
+    ) -> Result<CutEntry> {
+        let exact_split = match w_proof {
+            Some(w_proof) if w >= w_proof => optimal_split(w, self.rho, self.delta_prime, hint)?,
+            _ => None,
         };
-        let split = split.clamp(
-            MIN_SUB_WINDOW,
-            w.saturating_sub(MIN_SUB_WINDOW).max(MIN_SUB_WINDOW),
-        );
-        let (_, df, t_crit, f_crit) = equation_one(w, split, self.delta_prime)?;
+        let (split, exact, (_, df, t_crit, f_crit)) = match exact_split {
+            Some((split, eq)) => (split, true, eq),
+            None => {
+                // No admissible split (below the proof window): ν = 0.5.
+                let split = (w / 2).clamp(
+                    MIN_SUB_WINDOW,
+                    w.saturating_sub(MIN_SUB_WINDOW).max(MIN_SUB_WINDOW),
+                );
+                (split, false, equation_one(w, split, self.delta_prime)?)
+            }
+        };
         let (t_warn, f_warn) = match self.warning_delta_prime {
             Some(dw) => {
                 let (_, _, t_w, f_w) = equation_one(w, split, dw)?;
@@ -590,11 +664,56 @@ mod tests {
         let dp = 0.99_f64.powf(0.25);
         // Compute without a hint, then with deliberately wrong hints.
         for &w in &[200usize, 350, 500] {
-            let (k_ref, exact_ref) = optimal_split(w, 0.5, dp, None).unwrap();
+            let reference = optimal_split(w, 0.5, dp, None).unwrap();
+            if let Some((k, eq)) = reference {
+                assert_eq!(eq, equation_one(w, k, dp).unwrap(), "w={w}");
+            }
+            let k_ref = reference.map_or(w / 2, |(k, _)| k);
             for hint in [Some(2), Some(w / 2), Some(w - 3), Some(k_ref)] {
-                let (k, exact) = optimal_split(w, 0.5, dp, hint).unwrap();
-                assert_eq!(k, k_ref, "w={w} hint={hint:?}");
-                assert_eq!(exact, exact_ref);
+                let found = optimal_split(w, 0.5, dp, hint).unwrap();
+                assert_eq!(found, reference, "w={w} hint={hint:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hint_free_search_finds_a_narrow_interval() {
+        // At ρ = 1.0 and |W| = 64 only splits 26..=28 are admissible; the
+        // geometric grid (62, 61, 59, 55, 47, 31, 2) steps over them.
+        let dp = 0.99_f64.powf(0.25);
+        let admissible: Vec<usize> = (2..=62)
+            .filter(|&k| equation_one(64, k, dp).unwrap().0 <= 1.0)
+            .collect();
+        assert_eq!(admissible, [26, 27, 28]);
+        let (k, eq) = optimal_split(64, 1.0, dp, None).unwrap().unwrap();
+        assert_eq!((k, eq), (28, equation_one(64, 28, dp).unwrap()));
+        // A cold lookup agrees with the sequentially built table.
+        let cold = CutTable::new(&config(1.0, 100)).unwrap().entry(64).unwrap();
+        let built = CutTable::new(&config(1.0, 100)).unwrap();
+        built.precompute_all().unwrap();
+        assert_eq!(cold, built.entry(64).unwrap());
+        assert!(cold.exact && cold.split == 28);
+    }
+
+    #[test]
+    fn fill_is_independent_of_the_part_count() {
+        // Each part starts its split search from its own hint, so the part
+        // count a host's core count picks must not show in the entries.
+        for rho in [0.25, 0.5, 1.0] {
+            let config = config(rho, 700);
+            let n = config.w_max - config.w_min + 1;
+            let fill = |parts: usize| {
+                let table = CutTable::new(&config).unwrap();
+                let mut slots = vec![MISSING; n];
+                table
+                    .fill_in_parts(config.w_min, &mut slots, parts)
+                    .unwrap();
+                assert_eq!(table.cached_entries(), n);
+                slots
+            };
+            let reference = fill(1);
+            for parts in [2, 3, 4, 7, 16] {
+                assert_eq!(fill(parts), reference, "rho={rho} parts={parts}");
             }
         }
     }

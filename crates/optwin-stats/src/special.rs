@@ -293,6 +293,11 @@ pub fn inv_reg_lower_gamma(a: f64, p: f64) -> Result<f64> {
 /// Returns an error if `a <= 0`, `b <= 0`, or `x` is outside `[0, 1]`, or if
 /// the continued fraction fails to converge.
 pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64> {
+    check_beta_shapes(a, b)?;
+    reg_inc_beta_with(a, b, x, ln_beta(a, b))
+}
+
+fn check_beta_shapes(a: f64, b: f64) -> Result<()> {
     if !(a > 0.0) || !a.is_finite() {
         return Err(StatsError::InvalidParameter {
             name: "a",
@@ -307,6 +312,12 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64> {
             constraint: "shape parameter must be positive and finite",
         });
     }
+    Ok(())
+}
+
+/// [`reg_inc_beta`] for already validated shapes, with `ln B(a, b)` supplied
+/// by the caller so that an inversion computes it once, not once per step.
+fn reg_inc_beta_with(a: f64, b: f64, x: f64, ln_beta_ab: f64) -> Result<f64> {
     if !(0.0..=1.0).contains(&x) {
         return Err(StatsError::InvalidParameter {
             name: "x",
@@ -321,7 +332,7 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64> {
         return Ok(1.0);
     }
 
-    let ln_front = a * x.ln() + b * (1.0 - x).ln() - ln_beta(a, b);
+    let ln_front = a * x.ln() + b * (1.0 - x).ln() - ln_beta_ab;
     let front = ln_front.exp();
 
     // The continued fraction converges fastest for x < (a + 1) / (a + b + 2);
@@ -402,6 +413,7 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
     if p == 1.0 {
         return Ok(1.0);
     }
+    check_beta_shapes(a, b)?;
 
     // Initial guess (A&S 26.5.22).
     let mut x;
@@ -436,9 +448,10 @@ pub fn inv_reg_inc_beta(a: f64, b: f64, p: f64) -> Result<f64> {
     // Bisection bracket maintained alongside Newton.
     let mut lo = 0.0_f64;
     let mut hi = 1.0_f64;
-    let afac = -ln_beta(a, b);
+    let ln_beta_ab = ln_beta(a, b);
+    let afac = -ln_beta_ab;
     for _ in 0..100 {
-        let err = reg_inc_beta(a, b, x)? - p;
+        let err = reg_inc_beta_with(a, b, x, ln_beta_ab)? - p;
         if err > 0.0 {
             hi = x;
         } else {
@@ -620,6 +633,31 @@ mod unit_tests {
         assert_eq!(inv_reg_inc_beta(2.0, 3.0, 1.0).unwrap(), 1.0);
         assert!(inv_reg_inc_beta(2.0, 3.0, -0.5).is_err());
         assert!(inv_reg_inc_beta(2.0, 3.0, 2.0).is_err());
+    }
+
+    #[test]
+    fn inv_reg_inc_beta_rejects_invalid_shapes() {
+        // The edge probabilities return before the shapes are looked at.
+        assert_eq!(inv_reg_inc_beta(-1.0, 3.0, 0.0).unwrap(), 0.0);
+        assert_eq!(inv_reg_inc_beta(2.0, f64::NAN, 1.0).unwrap(), 1.0);
+        // Inside (0, 1) every invalid shape is an error naming it.
+        for (a, b, name) in [
+            (0.0, 3.0, "a"),
+            (-2.0, 3.0, "a"),
+            (f64::NAN, 3.0, "a"),
+            (f64::INFINITY, 3.0, "a"),
+            (2.0, 0.0, "b"),
+            (2.0, -0.5, "b"),
+            (2.0, f64::NAN, "b"),
+            (2.0, f64::INFINITY, "b"),
+        ] {
+            match inv_reg_inc_beta(a, b, 0.3) {
+                Err(StatsError::InvalidParameter { name: got, .. }) => {
+                    assert_eq!(got, name, "a={a} b={b}");
+                }
+                other => panic!("a={a} b={b}: expected an invalid-{name} error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
