@@ -419,7 +419,7 @@ impl EngineBuilder {
             if !seen.insert(stream) {
                 return Err(EngineError::DuplicateStream(stream));
             }
-            initial[shard_of(stream)].insert(stream, StreamState::new(detector));
+            initial[shard_of(stream)].insert(stream, StreamState::with_spec(detector, None));
         }
         for (stream, spec) in self.spec_streams {
             let detector = spec

@@ -363,17 +363,19 @@ struct QueueState {
     /// Set when any worker exits (shutdown or panic): the engine no longer
     /// makes progress, so producers must stop waiting.
     closed: AtomicBool,
-    /// Ingestion-time errors recorded by workers (e.g. an unknown stream
-    /// with no default spec), surfaced by [`EngineHandle::flush`].
-    errors: Mutex<Vec<EngineError>>,
+    /// The oldest ingestion-time error recorded by a worker since the last
+    /// [`EngineHandle::take_error`] (e.g. an unknown stream with no default
+    /// spec), surfaced by [`EngineHandle::flush`]. Later errors are dropped
+    /// on arrival, so a flood of rejected records costs no memory.
+    error: Mutex<Option<EngineError>>,
 }
 
 impl QueueState {
     fn record_error(&self, error: EngineError) {
-        self.errors
+        self.error
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(error);
+            .get_or_insert(error);
     }
 }
 
@@ -393,8 +395,6 @@ pub(crate) struct StreamState {
     pub(crate) seq: u64,
     /// Wall-clock seconds spent inside the detector for this stream.
     pub(crate) seconds: f64,
-    /// Values staged for the current batch (reused across batches).
-    staged: Vec<f64>,
     /// [`StreamState::seq`] as observed at the previous flush barrier — the
     /// idleness reference for the hibernation sweep.
     last_flush_seq: u64,
@@ -409,27 +409,20 @@ pub(crate) struct StreamState {
     /// checkpoint capture — the delta overlay holds exactly the streams
     /// with this bit set.
     dirty: bool,
+    /// The [`ShardState::message`] this stream last had a run in. (A
+    /// migrated stream's stamp may collide with its new shard's count; then
+    /// all its runs in that message are gathered, still in order.)
+    message: u64,
+    /// The stream's slot in [`ShardState::repeats`]; `None` between messages.
+    repeat: Option<usize>,
 }
 
 impl StreamState {
-    pub(crate) fn new(detector: Box<dyn DriftDetector + Send>) -> Self {
-        Self::with_spec(detector, None)
-    }
-
     pub(crate) fn with_spec(
         detector: Box<dyn DriftDetector + Send>,
         spec: Option<DetectorSpec>,
     ) -> Self {
-        Self {
-            slot: DetectorSlot::Live(detector),
-            spec,
-            seq: 0,
-            seconds: 0.0,
-            staged: Vec::new(),
-            last_flush_seq: 0,
-            idle_flushes: 0,
-            dirty: true,
-        }
+        Self::with_slot(DetectorSlot::Live(detector), spec)
     }
 
     /// A stream restored from a snapshot *without* materializing its
@@ -437,15 +430,20 @@ impl StreamState {
     /// next record. Only reachable from a builder with hibernation
     /// configured (see [`crate::EngineBuilder::hibernation`]).
     pub(crate) fn asleep(sleeper: HibernatedDetector, spec: DetectorSpec) -> Self {
+        Self::with_slot(DetectorSlot::Hibernated(sleeper), Some(spec))
+    }
+
+    fn with_slot(slot: DetectorSlot, spec: Option<DetectorSpec>) -> Self {
         Self {
-            slot: DetectorSlot::Hibernated(sleeper),
-            spec: Some(spec),
+            slot,
+            spec,
             seq: 0,
             seconds: 0.0,
-            staged: Vec::new(),
             last_flush_seq: 0,
             idle_flushes: 0,
             dirty: true,
+            message: 0,
+            repeat: None,
         }
     }
 
@@ -459,9 +457,9 @@ impl StreamState {
     }
 
     /// Compresses the live detector into a hibernated blob, freeing the
-    /// detector and the staging buffer. No-op (returning `false`) when the
-    /// stream is already asleep, has no spec to rebuild from, or runs a
-    /// detector without snapshot support.
+    /// detector. No-op (returning `false`) when the stream is already
+    /// asleep, has no spec to rebuild from, or runs a detector without
+    /// snapshot support.
     fn hibernate(&mut self) -> bool {
         let DetectorSlot::Live(detector) = &self.slot else {
             return false;
@@ -469,14 +467,10 @@ impl StreamState {
         if self.spec.is_none() {
             return false;
         }
-        debug_assert!(self.staged.is_empty(), "hibernating mid-batch");
         let Some(sleeper) = HibernatedDetector::capture(detector.as_ref()) else {
             return false;
         };
         self.slot = DetectorSlot::Hibernated(sleeper);
-        // Drop the staging buffer's capacity along with the detector: a
-        // cold stream should cost its blob, not its last batch size.
-        self.staged = Vec::new();
         true
     }
 
@@ -499,6 +493,50 @@ impl StreamState {
         self.slot = DetectorSlot::Live(detector);
         Ok(())
     }
+
+    /// Feeds the next `values` of this stream to its detector in one timed
+    /// `add_batch`, waking it first if it sleeps, and appends the events.
+    /// Returns whether the detector was woken. When the wake fails the
+    /// error is recorded and the values are dropped, the blob kept intact;
+    /// the stream's next run retries the wake.
+    fn feed(
+        &mut self,
+        stream: u64,
+        values: &[f64],
+        events: &mut Vec<DriftEvent>,
+        emit_warnings: bool,
+        queue: &QueueState,
+    ) -> bool {
+        let woken = self.slot.is_hibernated();
+        if woken {
+            if let Err(error) = self.rehydrate(stream) {
+                queue.record_error(error);
+                return false;
+            }
+        }
+        let DetectorSlot::Live(detector) = &mut self.slot else {
+            unreachable!("rehydrated above");
+        };
+        let started = Instant::now();
+        let outcome = detector.add_batch(values);
+        self.seconds += started.elapsed().as_secs_f64();
+
+        events.extend(outcome.drift_indices.iter().map(|&i| DriftEvent {
+            stream,
+            seq: self.seq + i as u64,
+            status: DriftStatus::Drift,
+        }));
+        if emit_warnings {
+            events.extend(outcome.warning_indices.iter().map(|&i| DriftEvent {
+                stream,
+                seq: self.seq + i as u64,
+                status: DriftStatus::Warning,
+            }));
+        }
+        self.seq += values.len() as u64;
+        self.dirty = true;
+        woken
+    }
 }
 
 /// A shard: a disjoint set of streams processed sequentially by one worker.
@@ -507,8 +545,13 @@ struct ShardState {
     /// This shard's index (for [`StreamSnapshot::shard`]).
     shard_index: usize,
     streams: HashMap<u64, StreamState>,
-    /// First-seen order of the streams staged in the current batch.
-    batch_order: Vec<u64>,
+    /// Counts the `Records` messages ingested (see [`StreamState::message`]).
+    message: u64,
+    /// The values of the runs of streams already seen in the current
+    /// message, gathered per stream to be fed after the message's walk.
+    repeats: Vec<(u64, Vec<f64>)>,
+    /// The values of the run being ingested, reused across runs.
+    values: Vec<f64>,
     /// Event staging buffer, reused across batches.
     events: Vec<DriftEvent>,
     /// Lifetime records ingested by this worker (migrated streams keep their
@@ -553,11 +596,17 @@ impl ShardState {
         Ok(())
     }
 
-    /// Stages `records`, creating unknown streams from the default spec (or
-    /// recording [`EngineError::UnknownStream`] and skipping the record when
-    /// there is none), runs every staged stream's
-    /// detector through its batch path, and emits the events — sorted by
-    /// `(stream, seq)` within this call — into the sinks.
+    /// Runs `records` through the detectors one run of consecutive
+    /// same-stream records at a time, with one stream lookup per run. A
+    /// stream's first run in the message is fed at once, in one timed
+    /// `add_batch`; its later runs are gathered and fed in one more call
+    /// after the walk, so a message whose streams interleave record by
+    /// record costs at most two calls per stream, not one per record.
+    /// Per-stream order is kept, so the batch == element contract makes
+    /// every decision bit-identical. Unknown streams are created from the
+    /// default spec, or [`EngineError::UnknownStream`] is recorded and the
+    /// run skipped when there is none. The events are emitted into the
+    /// sinks sorted by `(stream, seq)` within this call.
     fn ingest(
         &mut self,
         records: &[(u64, f64)],
@@ -566,8 +615,10 @@ impl ShardState {
         emit_warnings: bool,
         queue: &QueueState,
     ) {
-        self.batch_order.clear();
-        for &(stream, value) in records {
+        self.events.clear();
+        self.message += 1;
+        for run in records.chunk_by(|a, b| a.0 == b.0) {
+            let stream = run[0].0;
             let state = match self.streams.entry(stream) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => match default_spec {
@@ -588,49 +639,27 @@ impl ShardState {
                     }
                 },
             };
-            if state.staged.is_empty() {
-                self.batch_order.push(stream);
+            if state.message == self.message {
+                let slot = *state.repeat.get_or_insert_with(|| {
+                    self.repeats.push((stream, Vec::new()));
+                    self.repeats.len() - 1
+                });
+                self.repeats[slot]
+                    .1
+                    .extend(run.iter().map(|&(_, value)| value));
+                continue;
             }
-            state.staged.push(value);
+            state.message = self.message;
+            self.values.clear();
+            self.values.extend(run.iter().map(|&(_, value)| value));
+            self.rehydrations +=
+                u64::from(state.feed(stream, &self.values, &mut self.events, emit_warnings, queue));
         }
-
-        self.events.clear();
-        for &stream in &self.batch_order {
-            let state = self.streams.get_mut(&stream).expect("staged above");
-            if state.slot.is_hibernated() {
-                if let Err(error) = state.rehydrate(stream) {
-                    // Keep the blob intact and drop this batch's records for
-                    // the stream; the next batch retries the wake.
-                    queue.record_error(error);
-                    state.staged.clear();
-                    continue;
-                }
-                self.rehydrations += 1;
-            }
-            let DetectorSlot::Live(detector) = &mut state.slot else {
-                unreachable!("rehydrated above");
-            };
-            let started = Instant::now();
-            let outcome = detector.add_batch(&state.staged);
-            state.seconds += started.elapsed().as_secs_f64();
-
-            self.events
-                .extend(outcome.drift_indices.iter().map(|&i| DriftEvent {
-                    stream,
-                    seq: state.seq + i as u64,
-                    status: DriftStatus::Drift,
-                }));
-            if emit_warnings {
-                self.events
-                    .extend(outcome.warning_indices.iter().map(|&i| DriftEvent {
-                        stream,
-                        seq: state.seq + i as u64,
-                        status: DriftStatus::Warning,
-                    }));
-            }
-            state.seq += state.staged.len() as u64;
-            state.staged.clear();
-            state.dirty = true;
+        for (stream, values) in self.repeats.drain(..) {
+            let state = self.streams.get_mut(&stream).expect("seen above");
+            state.repeat = None;
+            self.rehydrations +=
+                u64::from(state.feed(stream, &values, &mut self.events, emit_warnings, queue));
         }
 
         self.events.sort_unstable_by_key(|e| (e.stream, e.seq));
@@ -888,9 +917,8 @@ fn worker_loop(
                 let _ = ack.send(result);
             }
             ShardMsg::Flush { ack } => {
-                // Flush barriers double as the hibernation sweep points: a
-                // batch never ends mid-flush, so every stream's staging
-                // buffer is empty here.
+                // Flush barriers double as the hibernation sweep points:
+                // every batch queued before the barrier has been ingested.
                 shard.hibernation_sweep();
                 for sink in &sinks {
                     sink.flush();
@@ -1035,7 +1063,7 @@ pub(crate) fn spawn_engine(
         depth: Mutex::new(vec![0; shards]),
         space: Condvar::new(),
         closed: AtomicBool::new(false),
-        errors: Mutex::new(Vec::new()),
+        error: Mutex::new(None),
     });
     let router = Router::new(
         shards,
@@ -1318,8 +1346,8 @@ impl EngineHandle {
     ///
     /// Returns the first ingestion error recorded since the last flush
     /// (e.g. [`EngineError::UnknownStream`] for records dropped by a
-    /// spec-less engine — any further pending errors are discarded
-    /// together with it), [`EngineError::ChannelClosed`] when the engine has
+    /// spec-less engine — later errors are not kept),
+    /// [`EngineError::ChannelClosed`] when the engine has
     /// shut down, or [`EngineError::Poisoned`] after a worker panic.
     pub fn flush(&self) -> Result<(), EngineError> {
         let mut acks = Vec::with_capacity(self.senders.len());
@@ -1413,24 +1441,18 @@ impl EngineHandle {
         Ok(())
     }
 
-    /// Removes and returns the oldest pending ingestion error, discarding
-    /// the rest. [`EngineHandle::flush`] calls this internally; it is public
-    /// for callers that poll instead of flushing.
+    /// Removes and returns the oldest ingestion error recorded since the
+    /// previous call; later ones are not kept. [`EngineHandle::flush`] calls
+    /// this internally; it is public for callers that poll instead of
+    /// flushing.
     #[must_use]
     pub fn take_error(&self) -> Option<EngineError> {
-        let mut errors = self
-            .shared
+        self.shared
             .queue
-            .errors
+            .error
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if errors.is_empty() {
-            None
-        } else {
-            let first = errors.remove(0);
-            errors.clear();
-            Some(first)
-        }
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 
     /// Per-shard reports (streams plus shard load), as a barrier (reflects

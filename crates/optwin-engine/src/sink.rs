@@ -142,13 +142,17 @@ impl JsonLinesSink {
 }
 
 impl EventSink for JsonLinesSink {
+    /// Writes the bytes of `serde_json::to_string(event)` plus `\n`
+    /// straight into the writer, without building a value tree (a unit
+    /// variant's derived `Debug` name is its serde name).
     fn emit(&self, event: &DriftEvent) {
-        let Ok(json) = serde_json::to_string(event) else {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
+        let (stream, seq, status) = (event.stream, event.seq, event.status);
         let mut writer = self.lock();
-        if writeln!(writer, "{json}").is_err() {
+        let written = writeln!(
+            writer,
+            r#"{{"stream":{stream},"seq":{seq},"status":"{status:?}"}}"#
+        );
+        if written.is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -224,21 +228,22 @@ mod tests {
         sink.flush(); // no-op default
     }
 
+    /// Shared buffer we can inspect after the sink is done with it.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn json_lines_sink_writes_one_object_per_line() {
-        // Shared buffer we can inspect after the sink is done with it.
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
         let buf = SharedBuf::default();
         let sink = JsonLinesSink::new(buf.clone());
         sink.emit(&event(7, 100));
@@ -255,6 +260,33 @@ mod tests {
         let first: DriftEvent = serde_json::from_str(lines[0]).unwrap();
         assert_eq!(first, event(7, 100));
         assert!(lines[1].contains("\"Warning\""));
+    }
+
+    #[test]
+    fn json_lines_sink_bytes_match_serde_json() {
+        let buf = SharedBuf::default();
+        let sink = JsonLinesSink::new(buf.clone());
+        let mut expected = String::new();
+        for status in [
+            DriftStatus::Drift,
+            DriftStatus::Warning,
+            DriftStatus::Stable,
+        ] {
+            for (stream, seq) in [(0, 0), (7, 101), (u64::MAX, u64::MAX)] {
+                let event = DriftEvent {
+                    stream,
+                    seq,
+                    status,
+                };
+                sink.emit(&event);
+                expected.push_str(&serde_json::to_string(&event).unwrap());
+                expected.push('\n');
+            }
+        }
+        assert_eq!(
+            String::from_utf8(buf.0.lock().unwrap().clone()).unwrap(),
+            expected
+        );
     }
 
     #[test]

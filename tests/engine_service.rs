@@ -15,8 +15,8 @@ use std::time::Duration;
 use optwin::core::snapshot::expand_blobs;
 use optwin::engine::EngineError;
 use optwin::{
-    DetectorSpec, DriftDetector, DriftEvent, EngineBuilder, EngineHandle, EngineSnapshot,
-    EventSink, MemorySink,
+    DetectorSpec, DriftDetector, DriftEvent, DriftStatus, EngineBuilder, EngineHandle,
+    EngineSnapshot, EventSink, HibernationPolicy, MemorySink,
 };
 
 /// Deterministic pseudo-random jitter in [-0.5, 0.5) (SplitMix64).
@@ -698,6 +698,120 @@ fn default_spec_and_register_stream_spec() {
         .expect_err("invalid default spec");
     assert!(matches!(err, EngineError::InvalidSpec(_)));
     handle.shutdown().expect("clean shutdown");
+}
+
+/// A stream that appears in several non-adjacent runs of one submit (e.g.
+/// `[(1, a), (2, b), (1, c), (2, d), (1, e)]`) has its first run fed at once
+/// and its later runs gathered into a second call. With every stream
+/// hibernated at each flush between submits, the events and per-stream
+/// element counts must still equal each stream's scalar fold, for OPTWIN,
+/// ADWIN, DDM and a ph->optwin cascade.
+#[test]
+fn split_runs_match_the_per_stream_scalar_fold() {
+    // More streams than the default 8 shards, so every shard's partition
+    // interleaves several streams.
+    const STREAMS: u64 = 24;
+    const SUBMITS: usize = 12;
+    const PER_SUBMIT: usize = 90;
+    const RUNS: usize = 3;
+    let spec_of = |stream: u64| -> DetectorSpec {
+        match stream % 4 {
+            0 => "optwin:rho=0.5,w_max=200",
+            1 => "adwin",
+            2 => "ddm",
+            _ => "cascade:guard=page_hinkley,confirm=[optwin:rho=0.5,w_max=200]",
+        }
+        .parse()
+        .expect("valid spec string")
+    };
+    // Binary error indicators whose rate jumps from ~10 % to ~60 % at a
+    // per-stream point, so every kind has drifts and warnings to report.
+    let value = |stream: u64, i: usize| -> f64 {
+        let drift_at = 300 + (stream as usize * 37) % 200;
+        let rate = if i < drift_at { 0.1 } else { 0.6 };
+        f64::from(jitter(stream << 32 | i as u64) + 0.5 < rate)
+    };
+
+    let sink = Arc::new(MemorySink::new());
+    let mut builder = EngineBuilder::new()
+        .shards(test_shards())
+        .emit_warnings(true)
+        .hibernation(HibernationPolicy::cold_after_flushes(0))
+        .sink(Arc::clone(&sink) as Arc<dyn EventSink>);
+    for stream in 0..STREAMS {
+        builder = builder.stream_spec(stream, spec_of(stream));
+    }
+    let handle = builder.build().expect("valid engine");
+    let mut records = Vec::new();
+    for submit in 0..SUBMITS {
+        let base = submit * PER_SUBMIT;
+        records.clear();
+        // Uneven run boundaries, different per stream and per submit.
+        let cut = |stream: u64, run: usize| -> usize {
+            match run {
+                0 => 0,
+                RUNS => PER_SUBMIT,
+                _ => (run * PER_SUBMIT / RUNS + (stream as usize + submit) % 11).min(PER_SUBMIT),
+            }
+        };
+        for run in 0..RUNS {
+            for stream in 0..STREAMS {
+                for i in cut(stream, run)..cut(stream, run + 1) {
+                    records.push((stream, value(stream, base + i)));
+                }
+            }
+        }
+        handle.submit(&records).expect("engine running");
+        handle.flush().expect("no ingestion errors");
+    }
+    let events = canonical(sink.drain());
+
+    let mut expected = Vec::new();
+    for stream in 0..STREAMS {
+        let mut detector = spec_of(stream).build().expect("valid spec");
+        for seq in 0..SUBMITS * PER_SUBMIT {
+            let status = detector.add_element(value(stream, seq));
+            if status != DriftStatus::Stable {
+                expected.push(DriftEvent {
+                    stream,
+                    seq: seq as u64,
+                    status,
+                });
+            }
+        }
+        let stats = handle
+            .stream_stats(stream)
+            .expect("engine running")
+            .expect("registered");
+        assert_eq!(
+            stats.elements,
+            (SUBMITS * PER_SUBMIT) as u64,
+            "stream {stream}"
+        );
+    }
+    assert!(
+        expected.iter().any(|e| e.is_drift()) && expected.iter().any(|e| !e.is_drift()),
+        "the streams must exercise both drifts and warnings"
+    );
+    assert_eq!(events, canonical(expected));
+    handle.shutdown().expect("clean shutdown");
+}
+
+/// A spec-less engine drops every unknown-stream record. The pending error
+/// is the first one recorded, however many records were dropped, and
+/// reading it clears it.
+#[test]
+fn dropped_records_keep_only_the_oldest_error() {
+    let handle = EngineBuilder::new()
+        .shards(1)
+        .stream(1, optwin_spec(200).build().expect("valid spec"))
+        .build()
+        .expect("valid engine");
+    let records: Vec<(u64, f64)> = (0..100_000u64).map(|i| (1_000 + i, 0.5)).collect();
+    handle.submit(&records).expect("submit itself succeeds");
+    assert_eq!(handle.flush(), Err(EngineError::UnknownStream(1_000)));
+    assert_eq!(handle.take_error(), None);
+    handle.shutdown().expect("no pending errors left");
 }
 
 mod snapshot_property {
